@@ -38,8 +38,8 @@ struct LinkSpec {
   /// tail drop, expressed as serialization time already committed (i.e.
   /// seconds of traffic queued ahead). Zero = unbounded (the legacy
   /// model, where a wakeup storm just stretches the busy window forever).
-  sim::SimTime uplink_queue;
-  sim::SimTime downlink_queue;
+  sim::SimTime uplink_queue = sim::SimTime::zero();
+  sim::SimTime downlink_queue = sim::SimTime::zero();
 };
 
 /// Point-in-time view of the network counters (see Network::stats()).

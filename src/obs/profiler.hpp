@@ -32,8 +32,10 @@
 /// Threading: `add_execute(shard, ...)` is written by that shard's worker
 /// thread into a cache-line-padded cell; everything else is
 /// coordinator-only. The coordinator reads the execute cells exclusively in
-/// `on_window`, after the barrier's `work_done_` wait — the barrier mutex
-/// provides the happens-before edge.
+/// `on_window`, after the barrier's wait for the outstanding count to reach
+/// zero: each worker's release decrement of that count follows its last
+/// `add_execute`, and the coordinator's acquire load of zero provides the
+/// happens-before edge.
 namespace oddci::sim {
 class ShardedSimulation;
 }  // namespace oddci::sim

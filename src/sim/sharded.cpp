@@ -7,6 +7,50 @@
 #include "obs/profiler.hpp"  // header-only recording; no link dependency
 
 namespace oddci::sim {
+namespace {
+
+// A barrier waiter's spin budget, in pause iterations. It doubles when a
+// wait ends while spinning and halves when the waiter had to park, so it
+// tracks how long this host's waits last: short when every shard has a
+// core, long when K exceeds the cores and a spinner would steal one. The
+// floor lets a budget that parked through long stalls recover; the cap
+// (well under a millisecond of pauses on current x86) bounds what one
+// wait can burn.
+constexpr std::uint32_t kSpinFloor = 64;
+constexpr std::uint32_t kSpinCap = 1u << 14;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Spin, then park, until `ready(word)`; returns the value that satisfied
+/// it. Every load acquires, pairing with the release write that changed
+/// the word.
+template <typename Ready>
+std::uint32_t spin_then_park(const std::atomic<std::uint32_t>& word,
+                             Ready ready, std::uint32_t& budget) {
+  std::uint32_t value = word.load(std::memory_order_acquire);
+  for (std::uint32_t spins = 0; !ready(value); ++spins) {
+    if (spins == budget) {
+      budget = std::max(budget / 2, kSpinFloor);
+      do {
+        word.wait(value, std::memory_order_acquire);
+        value = word.load(std::memory_order_acquire);
+      } while (!ready(value));
+      return value;
+    }
+    cpu_relax();
+    value = word.load(std::memory_order_acquire);
+  }
+  budget = std::min(budget * 2, kSpinCap);
+  return value;
+}
+
+}  // namespace
 
 void ShardedSimulation::Options::validate() const {
   if (shards == 0) {
@@ -19,7 +63,7 @@ void ShardedSimulation::Options::validate() const {
 }
 
 ShardedSimulation::ShardedSimulation(Options options)
-    : options_(options) {
+    : options_(options), spin_(kSpinFloor) {
   options_.validate();
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
@@ -38,12 +82,9 @@ ShardedSimulation::ShardedSimulation(Options options)
 }
 
 ShardedSimulation::~ShardedSimulation() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutdown_ = true;
-    ++epoch_;
-  }
-  work_ready_.notify_all();
+  shutdown_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -104,31 +145,25 @@ void ShardedSimulation::set_progress(std::function<void()> fn,
 }
 
 void ShardedSimulation::worker_loop(std::size_t shard_index) {
-  std::uint64_t seen_epoch = 0;
+  std::uint32_t seen_epoch = 0;
+  std::uint32_t spin = kSpinFloor;
   for (;;) {
-    SimTime target;
-    bool inclusive;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock,
-                       [&] { return epoch_ != seen_epoch || shutdown_; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-      target = target_;
-      inclusive = inclusive_;
-    }
+    seen_epoch = spin_then_park(
+        epoch_, [seen_epoch](std::uint32_t e) { return e != seen_epoch; },
+        spin);
+    if (shutdown_) return;
     try {
-      if (inclusive) {
-        shards_[shard_index]->run_until(target);
+      if (inclusive_) {
+        shards_[shard_index]->run_until(target_);
       } else {
-        shards_[shard_index]->run_window(target);
+        shards_[shard_index]->run_window(target_);
       }
     } catch (...) {
       worker_errors_[shard_index] = std::current_exception();
     }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--outstanding_ == 0) work_done_.notify_one();
+    // Only the coordinator waits on the count, and only for zero.
+    if (outstanding_.fetch_sub(1, std::memory_order_release) == 1) {
+      outstanding_.notify_one();
     }
   }
 }
@@ -136,14 +171,12 @@ void ShardedSimulation::worker_loop(std::size_t shard_index) {
 void ShardedSimulation::parallel_window(SimTime w1, bool inclusive) {
   const std::uint64_t span_start =
       profiler_ != nullptr ? obs::KernelProfiler::now_nanos() : 0;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    target_ = w1;
-    inclusive_ = inclusive;
-    outstanding_ = shards_.size() - 1;
-    ++epoch_;
-  }
-  work_ready_.notify_all();
+  target_ = w1;
+  inclusive_ = inclusive;
+  outstanding_.store(static_cast<std::uint32_t>(shards_.size() - 1),
+                     std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   try {
     if (inclusive) {
       shards_[0]->run_until(w1);
@@ -153,13 +186,12 @@ void ShardedSimulation::parallel_window(SimTime w1, bool inclusive) {
   } catch (...) {
     worker_errors_[0] = std::current_exception();
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    work_done_.wait(lock, [&] { return outstanding_ == 0; });
-  }
+  spin_then_park(outstanding_, [](std::uint32_t n) { return n == 0; },
+                 spin_);
   if (profiler_ != nullptr) {
-    // Every worker is parked (the barrier mutex published their execute
-    // cells); charge each shard's idle remainder to barrier stall.
+    // Every worker has finished its window, and its release decrement
+    // published its execute cell; charge each shard's idle remainder to
+    // barrier stall.
     profiler_->on_window(obs::KernelProfiler::now_nanos() - span_start);
   }
   ++windows_run_;

@@ -1,11 +1,10 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -36,9 +35,14 @@
 /// Thread-safety is structural: a shard's state is touched only by the
 /// thread running its window; mailbox segments are written by exactly one
 /// producer thread per window and consumed by the coordinator while every
-/// worker is parked at the barrier (the barrier's mutex provides the
-/// happens-before edge). Nothing on the hot path takes a lock or touches
-/// an atomic.
+/// worker waits at the barrier. The barrier is two atomics. The
+/// coordinator's release increment of the epoch publishes everything it
+/// wrote between windows (drained mail, global-task effects, the window
+/// target) to the workers' acquire loads; each worker's release decrement
+/// of the outstanding count publishes its shard state, mail, error slot
+/// and profiler cell to the coordinator's acquire load of zero. Waiters
+/// spin with an adaptive budget, then park on the atomic. Event execution
+/// itself takes no lock and touches no atomic.
 namespace oddci::sim {
 
 class ShardedSimulation {
@@ -178,15 +182,16 @@ class ShardedSimulation {
   SimTime progress_stride_;
   SimTime progress_due_;
 
-  // --- barrier (phaser) machinery ------------------------------------------
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  std::uint64_t epoch_ = 0;
-  std::size_t outstanding_ = 0;
+  // --- barrier: the coordinator releases a window by bumping epoch_, and
+  // each worker finishes it by decrementing outstanding_. 32-bit words are
+  // the futex's native width, so a parked wait needs no proxy.
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> outstanding_{0};
   SimTime target_;
   bool inclusive_ = false;
   bool shutdown_ = false;
+  /// The coordinator's adaptive spin budget (each worker keeps its own).
+  std::uint32_t spin_;
   std::vector<std::exception_ptr> worker_errors_;
   std::vector<std::thread> workers_;
 };

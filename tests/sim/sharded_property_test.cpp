@@ -3,12 +3,18 @@
 //    everything is clamped to a boundary at or after max(send time, at);
 //  * mailbox drains are deterministic: within one boundary, deliveries to
 //    a shard run in (source shard, send sequence) order;
-//  * K = 1 degenerates to the classic kernel (no clamping, no windows).
+//  * K = 1 degenerates to the classic kernel (no clamping, no windows);
+//  * the barrier carries data both ways under contention, and a worker's
+//    exception surfaces on the caller only after the window completes.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sharded.hpp"
@@ -188,6 +194,148 @@ TEST(ShardedBarrier, StopEndsTheRunFromAnyShard) {
   EXPECT_FALSE(late_ran);
   EXPECT_LT(kernel.now().micros(), SimTime::from_hours(1).micros());
 }
+
+TEST(ShardedBarrier, WorkerExceptionSurfacesAfterEveryWorkerFinishes) {
+  ShardedSimulation kernel(opts(4, SimTime::from_millis(5)));
+
+  // Plain variables: a worker writes them and the caller reads them after
+  // run_until, so only the barrier orders the two.
+  std::thread::id thrower;
+  bool sibling_done = false;
+  bool later_window_ran = false;
+  kernel.shard(2).schedule_at(SimTime::from_millis(7), [&] {
+    thrower = std::this_thread::get_id();
+    throw std::runtime_error("shard 2 failed");
+  });
+  // A sibling still busy long after the throw: the coordinator must not
+  // rethrow until it has finished its window.
+  kernel.shard(3).schedule_at(SimTime::from_millis(6), [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sibling_done = true;
+  });
+  kernel.shard(1).schedule_at(SimTime::from_millis(20),
+                              [&] { later_window_ran = true; });
+
+  try {
+    kernel.run_until(SimTime::from_millis(50));
+    ADD_FAILURE() << "run_until returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 2 failed");
+  }
+  EXPECT_NE(thrower, std::this_thread::get_id());
+  EXPECT_TRUE(sibling_done);
+  EXPECT_EQ(kernel.shard(3).now().micros(), 10'000);
+  EXPECT_FALSE(later_window_ran);
+  EXPECT_EQ(kernel.windows_run(), 2u);
+  // Leaving scope destroys the kernel, which must wake and join every
+  // worker.
+}
+
+// Barrier stress: 10k windows of 1 ms in which every shard mails every
+// other shard, and the last shard posts a global task every third window.
+// Each delivery folds (time, source, sequence, tag) into its destination
+// shard's order-sensitive digest. Each global task reads every shard's
+// delivery count and writes a tag that the shards read in later windows,
+// so data crosses the barrier in both directions where a race detector
+// can see it.
+class BarrierStress : public ::testing::TestWithParam<std::size_t> {};
+
+constexpr std::int64_t kStressWindows = 10'000;
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
+
+struct StressResult {
+  std::vector<std::uint64_t> digests;  // per shard, then the global tasks'
+  std::uint64_t deliveries = 0;
+  std::uint64_t windows = 0;
+  bool operator==(const StressResult&) const = default;
+};
+
+struct StressRun {
+  struct alignas(64) Shard {
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::uint64_t delivered = 0;
+    std::uint64_t sent = 0;
+  };
+
+  explicit StressRun(std::size_t k)
+      : kernel(opts(k, SimTime::from_millis(1))), shards(k), tags(k, 0) {}
+
+  void tick(std::size_t s) {
+    const std::size_t k = shards.size();
+    const SimTime now = kernel.shard(s).now();
+    for (std::size_t d = 0; d < k; ++d) {
+      if (d == s) continue;
+      const std::uint64_t seq = shards[s].sent++;
+      kernel.post(s, d, now, [this, s, d, seq] {
+        Shard& dst = shards[d];
+        const auto at =
+            static_cast<std::uint64_t>(kernel.shard(d).now().micros());
+        for (const std::uint64_t v : {at, std::uint64_t{s}, seq, tags[d]}) {
+          dst.digest = mix(dst.digest, v);
+        }
+        ++dst.delivered;
+      });
+    }
+    const std::int64_t window = now.micros() / 1'000;
+    if (s == k - 1 && window % 3 == 0) {
+      kernel.post_global(s, now, [this, window] {
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+          global_digest = mix(global_digest, shards[i].delivered);
+          tags[i] = static_cast<std::uint64_t>(window);
+        }
+      });
+    }
+    const SimTime next = now + SimTime::from_millis(1);
+    if (next < SimTime::from_millis(kStressWindows)) {
+      kernel.shard(s).schedule_at(next, [this, s] { tick(s); });
+    }
+  }
+
+  StressResult run() {
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      kernel.shard(s).schedule_at(
+          SimTime::from_micros(50 * static_cast<std::int64_t>(s + 1)),
+          [this, s] { tick(s); });
+    }
+    kernel.run_until(SimTime::from_millis(kStressWindows));
+    StressResult out;
+    for (const Shard& shard : shards) {
+      out.digests.push_back(shard.digest);
+      out.deliveries += shard.delivered;
+    }
+    out.digests.push_back(global_digest);
+    out.windows = kernel.windows_run();
+    return out;
+  }
+
+  ShardedSimulation kernel;
+  std::vector<Shard> shards;        // each touched only by its shard
+  std::vector<std::uint64_t> tags;  // written only by global tasks
+  std::uint64_t global_digest = 0xcbf29ce484222325ULL;
+};
+
+TEST_P(BarrierStress, ManyWindowsOfAllToAllMailReplayIdentically) {
+  const std::size_t k = GetParam();
+  const StressResult first = StressRun(k).run();
+  const StressResult second = StressRun(k).run();
+
+  // One window per millisecond, plus the fixpoint pass at the horizon that
+  // runs the mail drained at exactly t.
+  EXPECT_EQ(first.windows, static_cast<std::uint64_t>(kStressWindows) + 1);
+  EXPECT_EQ(first.deliveries,
+            k * (k - 1) * static_cast<std::uint64_t>(kStressWindows));
+  EXPECT_EQ(first, second);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, BarrierStress,
+                         ::testing::Values(std::size_t{2}, std::size_t{4},
+                                           std::size_t{8}),
+                         [](const auto& param_info) {
+                           return "K" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace oddci::sim
