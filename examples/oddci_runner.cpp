@@ -178,11 +178,9 @@ core::SystemConfig system_config(const util::Config& cfg) {
   config.obs.health_tamper_lost =
       static_cast<std::uint64_t>(cfg.get_int("health_tamper_lost", 0));
   config.fanout_fast_path = cfg.get_bool("fanout_fast_path", true);
-  // Sharded parallel kernel: worker-thread shard count ("threads" is an
-  // accepted alias). 1 = the classic single-threaded kernel; existing
-  // scenario files are unchanged.
-  config.shards = static_cast<std::size_t>(
-      cfg.get_int("shards", cfg.get_int("threads", 1)));
+  // Sharded parallel kernel: worker-thread shard count. 1 = the classic
+  // single-threaded kernel; existing scenario files are unchanged.
+  config.shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
   const double window_ms = cfg.get_double("window_ms", 0.0);
   if (window_ms > 0.0) {
     config.window = sim::SimTime::from_seconds(window_ms / 1e3);

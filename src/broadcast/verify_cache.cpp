@@ -33,11 +33,4 @@ bool VerifyCache::verify(std::string_view canonical, std::uint64_t digest,
   return verdict;
 }
 
-void VerifyCache::link_metrics(obs::MetricsRegistry& registry) const {
-  registry.link_counter("verify_cache.hit", hits_);
-  registry.link_counter("verify_cache.miss", misses_);
-  registry.link_probe("verify_cache.size",
-                      [this] { return static_cast<double>(size()); });
-}
-
 }  // namespace oddci::broadcast

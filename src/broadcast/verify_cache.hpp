@@ -61,10 +61,6 @@ class VerifyCache {
   [[nodiscard]] const obs::Counter& hits() const { return hits_; }
   [[nodiscard]] const obs::Counter& misses() const { return misses_; }
 
-  /// Expose hit/miss counters as `verify_cache.hit` / `verify_cache.miss`
-  /// plus a `verify_cache.size` probe. The cache must outlive snapshots.
-  void link_metrics(obs::MetricsRegistry& registry) const;
-
  private:
   struct Entry {
     std::uint64_t digest = 0;

@@ -8,47 +8,6 @@
 
 namespace oddci::core {
 
-namespace {
-// One-time (per process) deprecation warnings for the ControllerOptions
-// policy aliases; reset_controller_deprecation_warnings() re-arms them for
-// tests.
-bool warned_monitor_interval = false;
-bool warned_stale_factor = false;
-bool warned_overshoot_margin = false;
-
-void warn_alias(bool& flag, const char* field) {
-  if (flag) return;
-  flag = true;
-  ODDCI_LOG_WARN("controller")
-      << "ControllerOptions::" << field
-      << " is deprecated; set SystemConfig::control." << field
-      << " (control::PolicyOptions) instead";
-}
-}  // namespace
-
-void reset_controller_deprecation_warnings() {
-  warned_monitor_interval = false;
-  warned_stale_factor = false;
-  warned_overshoot_margin = false;
-}
-
-control::PolicyOptions ControllerOptions::effective_policy() const {
-  control::PolicyOptions out = policy;
-  if (monitor_interval) {
-    warn_alias(warned_monitor_interval, "monitor_interval");
-    out.monitor_interval = *monitor_interval;
-  }
-  if (stale_factor) {
-    warn_alias(warned_stale_factor, "stale_factor");
-    out.stale_factor = *stale_factor;
-  }
-  if (overshoot_margin) {
-    warn_alias(warned_overshoot_margin, "overshoot_margin");
-    out.overshoot_margin = *overshoot_margin;
-  }
-  return out;
-}
-
 Controller::Controller(sim::Simulation& simulation, net::Network& network,
                        broadcast::BroadcastMedium& channel,
                        ContentStore& store, broadcast::SigningKey key,
@@ -75,9 +34,7 @@ Controller::Controller(sim::Simulation& simulation, net::Network& network,
       throw std::invalid_argument("Controller: null channel");
     }
   }
-  options_.policy = options_.effective_policy();
-  // make_engine validates (throws std::invalid_argument on bad knobs,
-  // whether set directly or through a deprecated alias).
+  // make_engine validates (throws std::invalid_argument on bad knobs).
   engine_ = control::make_engine(options_.policy);
   default_heartbeat_ = options_.default_heartbeat;
   node_id_ = network_.register_endpoint(this, link);

@@ -62,17 +62,6 @@ struct ControllerOptions {
   /// knobs. Populated from SystemConfig::control.
   control::PolicyOptions policy;
 
-  /// Deprecated aliases for the policy knobs that used to live here.
-  /// A set alias is forwarded into `policy` (overriding it) with a
-  /// one-time warning; prefer `policy.monitor_interval` & friends.
-  std::optional<sim::SimTime> monitor_interval;
-  std::optional<double> stale_factor;
-  std::optional<double> overshoot_margin;
-
-  /// `policy` with any set deprecated aliases applied (warns once per
-  /// alias per process). Does not validate.
-  [[nodiscard]] control::PolicyOptions effective_policy() const;
-
   /// Size of the PNA Xlet staged on the carousel.
   util::Bits pna_xlet_size = util::Bits::from_kilobytes(64);
   /// Heartbeat interval announced in the deployment hello (agents adopt
@@ -96,10 +85,6 @@ struct ControllerOptions {
   /// (direct reporters — failover fallback — keep a windowed prune).
   HeartbeatMode heartbeat_mode = HeartbeatMode::kNaive;
 };
-
-/// Test hook: re-arm the one-time ControllerOptions alias deprecation
-/// warnings.
-void reset_controller_deprecation_warnings();
 
 class Controller final : public net::Endpoint {
  public:

@@ -34,14 +34,15 @@ struct PnaEnvironment {
   /// Retry period for polling the Backend after a NoTask reply.
   sim::SimTime task_poll_interval = sim::SimTime::from_seconds(10);
 
-  /// Population-wide counters shared by every agent of one system
-  /// (nullable: standalone agents run uninstrumented). Agents keep no
-  /// per-agent counters of their own.
+  /// Counters shared by every agent on one kernel shard (nullable:
+  /// standalone agents run uninstrumented). Agents keep no per-agent
+  /// counters of their own.
   obs::PnaCounters* counters = nullptr;
-  /// Wakeup accept -> image acquired, across the population (nullable).
+  /// Wakeup accept -> image acquired, across the shard's agents
+  /// (nullable).
   obs::LogHistogram* acquire_latency = nullptr;
-  /// Causal flight recorder shared by the population (nullable: tracing
-  /// off). Agents emit receipt/decision/heartbeat/task events and carry
+  /// Causal flight recorder shared by the shard's agents (nullable:
+  /// tracing off). Agents emit receipt/decision/heartbeat/task events and carry
   /// contexts onto outgoing messages.
   obs::FlightRecorder* recorder = nullptr;
 
@@ -59,10 +60,10 @@ struct PnaEnvironment {
   // --- fan-out fast path (both nullable: agents fall back to the
   // per-message decode/verify/allocate slow path) ---------------------------
 
-  /// Population-shared memoized signature verification: with N agents
-  /// sharing one cache, a broadcast costs one keyed hash, not N.
+  /// Shard-shared memoized signature verification: with N agents sharing
+  /// one cache, a broadcast costs one keyed hash, not N.
   broadcast::VerifyCache* verify_cache = nullptr;
-  /// Population-shared heartbeat recycling pool (see net::MessagePool).
+  /// Shard-shared heartbeat recycling pool (see net::MessagePool).
   net::MessagePool<HeartbeatMessage>* heartbeat_pool = nullptr;
 
   // --- fault-injection recovery protocol (nullable: with no Recovery block
@@ -107,9 +108,9 @@ class PnaXlet final : public dtv::Xlet,
                       public dtv::CarouselAware,
                       public dtv::MessageHandler {
  public:
-  /// `environment` is shared by reference across the whole population and
-  /// must outlive the Xlet (it is deployment-wide state: one copy per
-  /// system, not one per agent).
+  /// `environment` is shared by reference across the agents of one kernel
+  /// shard and must outlive the Xlet (deployment-wide state: one copy per
+  /// shard, not one per agent).
   PnaXlet(const PnaEnvironment& environment, std::uint64_t seed);
   ~PnaXlet() override;
 

@@ -36,13 +36,7 @@ void SystemConfig::validate() const {
   if (window < sim::SimTime::zero()) {
     throw std::invalid_argument("SystemConfig: window must be >= 0");
   }
-  // Control-loop policy knobs, with any deprecated ControllerOptions
-  // aliases applied on top of `control` exactly as the Controller will.
-  {
-    ControllerOptions effective = controller;
-    effective.policy = control;
-    effective.effective_policy().validate();
-  }
+  control.validate();
   if (controller.default_heartbeat <= sim::SimTime::zero()) {
     throw std::invalid_argument(
         "SystemConfig: controller.default_heartbeat must be > 0");
@@ -147,8 +141,10 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     sharded_->set_profiler(profiler_.get());
   }
 
+  // Every component below gets the sharded kernel, whatever K: each one
+  // treats a single shard as its classic path.
   network_ = std::make_unique<net::Network>(*simulation_);
-  if (K > 1) network_->set_sharded(sharded_.get());
+  network_->set_sharded(sharded_.get());
   // Tag the heartbeat stream for conservation accounting: net (and the
   // fault injector below) stay ignorant of core's message taxonomy and
   // receive the raw tag value; the health auditor balances emitted vs
@@ -164,6 +160,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   network_->reserve_endpoints(config_.receivers + config_.aggregators +
                               relay_count + 2);
   store_ = std::make_unique<ContentStore>();
+  // The store's mutex exists only for window threads.
   store_->set_concurrent(K > 1);
 
   util::Random rng(config_.seed);
@@ -190,7 +187,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     if (config_.section_loss > 0.0) {
       dtv->set_section_loss(config_.section_loss);
     }
-    if (K > 1) dtv->set_sharded(sharded_.get());
+    dtv->set_sharded(sharded_.get());
     channels_.push_back(std::move(dtv));
   }
 
@@ -245,7 +242,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
                          ? config_.heartbeat.expiry
                          : sim::SimTime::from_seconds(
                                config_.controller.default_heartbeat.seconds() *
-                               copts.effective_policy().stale_factor);
+                               config_.control.stale_factor);
     }
     // Paced mode de-synchronizes the tier's flush boundaries with a
     // dedicated named stream (enabling it never perturbs other draws).
@@ -272,14 +269,12 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       // Aggregator `a` lives on shard a % K; its endpoint registers there
       // so the heartbeats it hears (all from receivers homed on it, placed
       // on the same shard below) never cross a shard boundary.
-      if (K > 1) {
-        network_->set_register_shard(static_cast<std::uint32_t>(a % K));
-      }
+      network_->set_register_shard(static_cast<std::uint32_t>(a % K));
       aopts.origin = static_cast<std::uint32_t>(a);
       aopts.flush_phase = draw_phase();
       aggregators_.push_back(std::make_unique<HeartbeatAggregator>(
-          K > 1 ? sharded_->shard(a % K) : *simulation_, *network_,
-          controller_->node_id(), tier_link, aopts));
+          sharded_->shard(a % K), *network_, controller_->node_id(),
+          tier_link, aopts));
       // Agents pick aggregators[pna_id % k], so aggregator `a` only ever
       // hears ids congruent to a (mod k) — declare that shard so its
       // window is a dense vector instead of a hash map.
@@ -290,7 +285,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       }
       aggregator_nodes.push_back(aggregators_.back()->node_id());
     }
-    if (K > 1) network_->set_register_shard(0);
+    network_->set_register_shard(0);
     controller_->set_aggregators(std::move(aggregator_nodes));
   }
 
@@ -331,60 +326,40 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     backend_->set_verifier(verifier_.get());
   }
 
-  pna_env_.content_store = store_.get();
-  pna_env_.trusted_key = key_;
-  pna_env_.task_poll_interval = config_.task_poll_interval;
+  // Per-shard agent-side state: every hot-path cell an agent touches is
+  // private to its shard's window thread. The shared read-only plumbing
+  // (store, key, poll interval, pacing) is the same in every block.
+  PnaEnvironment env;
+  env.content_store = store_.get();
+  env.trusted_key = key_;
+  env.task_poll_interval = config_.task_poll_interval;
   if (config_.heartbeat.paced) {
     sim::SimTime pace_window = config_.heartbeat.pace_window;
     if (pace_window <= sim::SimTime::zero()) {
       pace_window = std::min(config_.aggregator_report_interval,
                              config_.controller.default_heartbeat);
     }
-    pna_env_.heartbeat_pace_window = pace_window;
-    pna_env_.heartbeat_phase_seed =
+    env.heartbeat_pace_window = pace_window;
+    env.heartbeat_phase_seed =
         util::stream_seed(config_.seed, "heartbeat.pace.phase");
   }
-  if (config_.fanout_fast_path && K == 1) {
-    verify_cache_ = std::make_unique<broadcast::VerifyCache>();
-    // The ring must outlast the in-flight window or acquires find their
-    // slot still referenced and fall back to allocation: heartbeats live
-    // ~tens of milliseconds (delivery + aggregator handling), so size the
-    // lap time well past that at population beat rates.
-    const std::size_t pool_slots =
-        std::clamp<std::size_t>(config_.receivers / 8, 4096, 1u << 17);
-    heartbeat_pool_ =
-        std::make_unique<net::MessagePool<HeartbeatMessage>>(pool_slots);
-    pna_env_.verify_cache = verify_cache_.get();
-    pna_env_.heartbeat_pool = heartbeat_pool_.get();
-  }
-
-  if (K > 1) {
-    // Per-shard agent-side state: every hot-path cell an agent touches is
-    // private to its shard's window thread. The base pna_env_ keeps the
-    // shared read-only plumbing (store, key, poll interval); each shard's
-    // copy overrides the mutable pieces.
-    shard_pna_counters_.resize(K);
-    shard_acquire_latency_.assign(K, obs::LogHistogram(1e-3));
-    shard_recoveries_.resize(K);
-    util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
-    shard_loss_rngs_.reserve(K);
-    shard_envs_.reserve(K);
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_loss_rngs_.emplace_back(loss_seeds.next());
-      if (config_.fanout_fast_path) {
-        shard_verify_caches_.push_back(
-            std::make_unique<broadcast::VerifyCache>());
-        shard_heartbeat_pools_.push_back(
-            std::make_unique<net::MessagePool<HeartbeatMessage>>(
-                std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
-                                        1u << 17)));
-      }
-      PnaEnvironment env = pna_env_;
-      if (config_.fanout_fast_path) {
-        env.verify_cache = shard_verify_caches_[s].get();
-        env.heartbeat_pool = shard_heartbeat_pools_[s].get();
-      }
-      shard_envs_.push_back(env);
+  shards_ = std::vector<Shard>(K);
+  util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
+  for (Shard& shard : shards_) {
+    shard.env = env;
+    shard.loss_rng = util::Random(loss_seeds.next());
+    if (config_.fanout_fast_path) {
+      shard.verify_cache = std::make_unique<broadcast::VerifyCache>();
+      // The ring must outlast the in-flight window or acquires find their
+      // slot still referenced and fall back to allocation: heartbeats live
+      // ~tens of milliseconds (delivery + aggregator handling), so size
+      // the lap time well past that at population beat rates.
+      shard.heartbeat_pool =
+          std::make_unique<net::MessagePool<HeartbeatMessage>>(
+              std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
+                                      1u << 17));
+      shard.env.verify_cache = shard.verify_cache.get();
+      shard.env.heartbeat_pool = shard.heartbeat_pool.get();
     }
   }
 
@@ -400,9 +375,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   xlets_.register_factory(
       "oddci-pna", [this](dtv::Receiver& host) {
         const std::size_t i = host.node_id() - receivers_.front()->node_id();
-        return std::make_unique<PnaXlet>(
-            shard_envs_.empty() ? pna_env_ : shard_envs_[host.shard()],
-            pna_seeds_[i]);
+        return std::make_unique<PnaXlet>(shards_[host.shard()].env,
+                                         pna_seeds_[i]);
       });
   receivers_.reserve(config_.receivers);
   pna_seeds_.reserve(config_.receivers);
@@ -412,32 +386,25 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     // node id (A + 2 + i), so it homes on aggregator (2 + i) % A, which
     // lives on shard ((2 + i) % A) % K — the per-heartbeat hop never
     // crosses a shard boundary. With no aggregation tier, round-robin.
-    const std::size_t s = K == 1 ? 0 : (A > 0 ? ((2 + i) % A) % K : i % K);
-    if (K > 1) network_->set_register_shard(static_cast<std::uint32_t>(s));
+    const std::size_t s = A > 0 ? ((2 + i) % A) % K : i % K;
+    network_->set_register_shard(static_cast<std::uint32_t>(s));
     auto receiver = std::make_unique<dtv::Receiver>(
-        K > 1 ? sharded_->shard(s) : *simulation_, *network_,
-        config_.profile, stb_link);
+        sharded_->shard(s), *network_, config_.profile, stb_link);
     receiver->set_power_mode(config_.initial_power);
     pna_seeds_.push_back(rng.engine().next());
     receiver->application_manager().set_registry(&xlets_);
-    if (K > 1) {
-      receiver->set_shard_context(sharded_.get(),
-                                  static_cast<std::uint32_t>(s),
-                                  static_cast<broadcast::ListenerId>(i + 1),
-                                  &shard_loss_rngs_[s]);
-    }
+    receiver->set_shard_context(sharded_.get(), static_cast<std::uint32_t>(s),
+                                static_cast<broadcast::ListenerId>(i + 1),
+                                &shards_[s].loss_rng);
     if (rng.uniform() < config_.tuned_fraction) {
       receiver->tune(*channels_[i % channels_.size()]);
     }
     receivers_.push_back(std::move(receiver));
   }
-  if (K > 1) {
-    network_->set_register_shard(0);
-    // Construction-time tunes above ran direct (single-threaded); from
-    // here on, off-control-shard receivers route (un)tunes through the
-    // mailboxes.
-    for (auto& r : receivers_) r->activate_shard_routing();
-  }
+  network_->set_register_shard(0);
+  // Construction-time tunes above ran direct (single-threaded); from here
+  // on, off-control-shard receivers route (un)tunes through the mailboxes.
+  for (auto& r : receivers_) r->activate_shard_routing();
 
   // Adversarial profile table: built after the receivers so it can key
   // collusion on their aggregator regions (node id % A). The table is a
@@ -468,31 +435,23 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     byz_block_.table = byz_table_.get();
     byz_block_.base =
         receivers_.empty() ? 0 : receivers_.front()->node_id();
-    pna_env_.byzantine = &byz_block_;
-    for (auto& env : shard_envs_) env.byzantine = &byz_block_;
+    for (Shard& shard : shards_) shard.env.byzantine = &byz_block_;
   }
 
   if (config_.churn) {
+    // One churn process per shard, on that shard's kernel, over that
+    // shard's receivers: power cycles are ordinary intra-shard events. A
+    // lone shard uses the drawn seed as is, the stream every single-shard
+    // churn replay was pinned with; several split it, one stream each.
     const std::uint64_t churn_seed = rng.engine().next();
-    if (K == 1) {
-      std::vector<dtv::Receiver*> raw;
-      raw.reserve(receivers_.size());
-      for (auto& r : receivers_) raw.push_back(r.get());
-      churn_ = std::make_unique<ChurnProcess>(*simulation_, std::move(raw),
-                                              churn_seed, *config_.churn);
-      churn_->start();
-    } else {
-      // One churn process per shard, on that shard's kernel, over that
-      // shard's receivers: power cycles are ordinary intra-shard events.
-      std::vector<std::vector<dtv::Receiver*>> per_shard(K);
-      for (auto& r : receivers_) per_shard[r->shard()].push_back(r.get());
-      util::SplitMix64 churn_seeds(churn_seed);
-      for (std::size_t s = 0; s < K; ++s) {
-        churn_procs_.push_back(std::make_unique<ChurnProcess>(
-            sharded_->shard(s), std::move(per_shard[s]), churn_seeds.next(),
-            *config_.churn));
-        churn_procs_.back()->start();
-      }
+    util::SplitMix64 churn_seeds(churn_seed);
+    std::vector<std::vector<dtv::Receiver*>> per_shard(K);
+    for (auto& r : receivers_) per_shard[r->shard()].push_back(r.get());
+    for (std::size_t s = 0; s < K; ++s) {
+      churn_procs_.push_back(std::make_unique<ChurnProcess>(
+          sharded_->shard(s), std::move(per_shard[s]),
+          K == 1 ? churn_seed : churn_seeds.next(), *config_.churn));
+      churn_procs_.back()->start();
     }
   }
 
@@ -505,7 +464,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
                                     : (config_.seed ^ 0x0DDC1FA17ull);
     injector_ = std::make_unique<fault::FaultInjector>(*simulation_,
                                                        config_.fault, fseed);
-    if (K > 1) injector_->set_sharded(sharded_.get());
+    injector_->set_sharded(sharded_.get());
     injector_->set_tracked_tag(static_cast<int>(kTagHeartbeat));
     network_->set_interposer(injector_.get());
     injector_->set_controller_hooks([this] { controller_->crash(); },
@@ -524,13 +483,11 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     injector_->set_control_corruptor(
         [this] { return controller_->corrupt_on_air_control(); },
         [this] { controller_->restore_on_air_control(); });
-    pna_recovery_.result_retry_limit = config_.fault.result_retry_limit;
-    pna_recovery_.result_retry_base = config_.fault.result_retry_base;
-    pna_recovery_.request_watchdog = config_.fault.request_watchdog;
-    pna_env_.recovery = &pna_recovery_;
-    for (std::size_t s = 0; s < shard_envs_.size(); ++s) {
-      shard_recoveries_[s] = pna_recovery_;
-      shard_envs_[s].recovery = &shard_recoveries_[s];
+    for (Shard& shard : shards_) {
+      shard.recovery.result_retry_limit = config_.fault.result_retry_limit;
+      shard.recovery.result_retry_base = config_.fault.result_retry_base;
+      shard.recovery.request_watchdog = config_.fault.request_watchdog;
+      shard.env.recovery = &shard.recovery;
     }
   }
 
@@ -539,6 +496,13 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   }
 
   if (injector_) injector_->start();
+}
+
+template <typename F>
+std::uint64_t OddciSystem::sum_shards(F read) const {
+  std::uint64_t sum = 0;
+  for (const Shard& shard : shards_) sum += read(shard);
+  return sum;
 }
 
 void OddciSystem::wire_observability() {
@@ -593,92 +557,50 @@ void OddciSystem::wire_observability() {
     });
   }
 
-  // Shared blocks: owned here, incremented by the population / the media.
-  // Under a sharded kernel each shard increments its own cells and the
-  // registry exports the merged sum lazily at snapshot time — same names,
-  // no atomic on the hot path.
-  if (K == 1) {
-    pna_counters_.link(*registry_);
-    registry_->link_histogram("pna.acquire_latency_seconds",
-                              pna_acquire_latency_);
-    pna_env_.counters = &pna_counters_;
-    pna_env_.acquire_latency = &pna_acquire_latency_;
-  } else {
-    const auto merged = [this](obs::Counter obs::PnaCounters::*cell) {
-      return [this, cell]() -> std::uint64_t {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) sum += (c.*cell).value();
-        return sum;
-      };
-    };
-    registry_->link_counter_fn(
-        "pna.control_messages_seen",
-        merged(&obs::PnaCounters::control_messages_seen));
-    registry_->link_counter_fn("pna.signature_failures",
-                               merged(&obs::PnaCounters::signature_failures));
-    registry_->link_counter_fn(
-        "pna.wakeups_dropped_busy",
-        merged(&obs::PnaCounters::wakeups_dropped_busy));
-    registry_->link_counter_fn(
-        "pna.wakeups_rejected_requirements",
-        merged(&obs::PnaCounters::wakeups_rejected_requirements));
-    registry_->link_counter_fn(
-        "pna.wakeups_dropped_probability",
-        merged(&obs::PnaCounters::wakeups_dropped_probability));
-    registry_->link_counter_fn("pna.joins", merged(&obs::PnaCounters::joins));
-    registry_->link_counter_fn("pna.resets",
-                               merged(&obs::PnaCounters::resets));
-    registry_->link_counter_fn("pna.tasks_completed",
-                               merged(&obs::PnaCounters::tasks_completed));
-    registry_->link_counter_fn("pna.heartbeats_sent",
-                               merged(&obs::PnaCounters::heartbeats_sent));
-    std::vector<const obs::LogHistogram*> hists;
-    hists.reserve(K);
-    for (const auto& h : shard_acquire_latency_) hists.push_back(&h);
-    registry_->link_histogram_set("pna.acquire_latency_seconds",
-                                  std::move(hists));
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_envs_[s].counters = &shard_pna_counters_[s];
-      shard_envs_[s].acquire_latency = &shard_acquire_latency_[s];
-    }
-  }
-  // Pacing effectiveness counter — registered only when pacing is on (no
-  // phantom zero cell in unpaced snapshots).
+  // Per-shard blocks: each shard increments its own cells and the
+  // registry exports the merged sum lazily at snapshot time — one name per
+  // metric, no atomic on the hot path.
+  const auto merged = [this](auto read) {
+    return [this, read] { return sum_shards(read); };
+  };
+  using Pna = obs::PnaCounters;
+  std::vector<std::pair<const char*, obs::Counter Pna::*>> pna_cells = {
+      {"pna.control_messages_seen", &Pna::control_messages_seen},
+      {"pna.signature_failures", &Pna::signature_failures},
+      {"pna.wakeups_dropped_busy", &Pna::wakeups_dropped_busy},
+      {"pna.wakeups_rejected_requirements",
+       &Pna::wakeups_rejected_requirements},
+      {"pna.wakeups_dropped_probability", &Pna::wakeups_dropped_probability},
+      {"pna.joins", &Pna::joins},
+      {"pna.resets", &Pna::resets},
+      {"pna.tasks_completed", &Pna::tasks_completed},
+      {"pna.heartbeats_sent", &Pna::heartbeats_sent}};
+  // Pacing effectiveness counter — only when pacing is on (no phantom zero
+  // cell in unpaced snapshots).
   if (config_.heartbeat.paced) {
-    if (K == 1) {
-      pna_counters_.link_paced(*registry_);
-    } else {
-      registry_->link_counter_fn("pna.heartbeats_paced", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.heartbeats_paced.value();
-        }
-        return sum;
-      });
-    }
+    pna_cells.emplace_back("pna.heartbeats_paced", &Pna::heartbeats_paced);
   }
-  // Adversarial-behaviour counters — registered only when the profile
-  // table seeded at least one adversary (no phantom zero cells otherwise).
+  // Adversarial-behaviour counters — only when the profile table seeded at
+  // least one adversary (no phantom zero cells otherwise).
   if (byz_table_ && byz_table_->active()) {
-    if (K == 1) {
-      pna_counters_.link_byzantine(*registry_);
-    } else {
-      registry_->link_counter_fn("pna.results_forged", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.results_forged.value();
-        }
-        return sum;
-      });
-      registry_->link_counter_fn("pna.results_freeridden", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& c : shard_pna_counters_) {
-          sum += c.results_freeridden.value();
-        }
-        return sum;
-      });
-    }
+    pna_cells.emplace_back("pna.results_forged", &Pna::results_forged);
+    pna_cells.emplace_back("pna.results_freeridden",
+                           &Pna::results_freeridden);
   }
+  for (const auto& [name, cell] : pna_cells) {
+    registry_->link_counter_fn(name, merged([cell = cell](const Shard& s) {
+      return (s.counters.*cell).value();
+    }));
+  }
+  std::vector<const obs::LogHistogram*> hists;
+  hists.reserve(shards_.size());
+  for (Shard& shard : shards_) {
+    hists.push_back(&shard.acquire_latency);
+    shard.env.counters = &shard.counters;
+    shard.env.acquire_latency = &shard.acquire_latency;
+  }
+  registry_->link_histogram_set("pna.acquire_latency_seconds",
+                                std::move(hists));
   broadcast_counters_.link(*registry_);
   for (auto& channel : channels_) {
     channel->set_counters(&broadcast_counters_);
@@ -686,139 +608,83 @@ void OddciSystem::wire_observability() {
 
   // Fast-path effectiveness counters — registered only when the fast path
   // exists, so fast-path-off snapshots carry no phantom zero cells.
-  if (verify_cache_) verify_cache_->link_metrics(*registry_);
-  if (heartbeat_pool_) heartbeat_pool_->link_metrics(*registry_, "heartbeat");
-  if (K > 1 && config_.fanout_fast_path) {
-    registry_->link_counter_fn("verify_cache.hit", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->hits().value();
-      return sum;
-    });
-    registry_->link_counter_fn("verify_cache.miss", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->misses().value();
-      return sum;
-    });
-    registry_->link_probe("verify_cache.size", [this] {
-      std::size_t sum = 0;
-      for (const auto& c : shard_verify_caches_) sum += c->size();
-      return static_cast<double>(sum);
-    });
-    registry_->link_counter_fn("heartbeat.pool_reused", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) sum += p->reused().value();
-      return sum;
-    });
-    registry_->link_counter_fn("heartbeat.pool_allocated", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) {
-        sum += p->allocated().value();
-      }
-      return sum;
-    });
-    registry_->link_counter_fn("heartbeat.pooled_bytes", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& p : shard_heartbeat_pools_) {
-        sum += p->pooled_bytes().value();
-      }
-      return sum;
-    });
-  }
   if (config_.fanout_fast_path) {
+    registry_->link_counter_fn(
+        "verify_cache.hit", merged([](const Shard& s) {
+          return s.verify_cache->hits().value();
+        }));
+    registry_->link_counter_fn(
+        "verify_cache.miss", merged([](const Shard& s) {
+          return s.verify_cache->misses().value();
+        }));
+    const auto cache_size =
+        merged([](const Shard& s) { return s.verify_cache->size(); });
+    registry_->link_probe("verify_cache.size", [cache_size] {
+      return static_cast<double>(cache_size());
+    });
+    registry_->link_counter_fn(
+        "heartbeat.pool_reused", merged([](const Shard& s) {
+          return s.heartbeat_pool->reused().value();
+        }));
+    registry_->link_counter_fn(
+        "heartbeat.pool_allocated", merged([](const Shard& s) {
+          return s.heartbeat_pool->allocated().value();
+        }));
+    registry_->link_counter_fn(
+        "heartbeat.pooled_bytes", merged([](const Shard& s) {
+          return s.heartbeat_pool->pooled_bytes().value();
+        }));
     registry_->link_counter("wire.writer_reuse", store_->writer_reuses());
   }
 
   // Fault/recovery cells — only when fault injection is on, so fault-off
   // snapshots are byte-identical to a build without the subsystem.
-  if (injector_) injector_->link_metrics(*registry_);
-  if (pna_env_.recovery != nullptr) {
-    if (K == 1) {
-      registry_->link_counter("recovery.result_retries",
-                              pna_recovery_.result_retries);
-      registry_->link_counter("recovery.request_retries",
-                              pna_recovery_.request_retries);
-    } else {
-      registry_->link_counter_fn("recovery.result_retries", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& r : shard_recoveries_) {
-          sum += r.result_retries.value();
-        }
-        return sum;
-      });
-      registry_->link_counter_fn("recovery.request_retries", [this] {
-        std::uint64_t sum = 0;
-        for (const auto& r : shard_recoveries_) {
-          sum += r.request_retries.value();
-        }
-        return sum;
-      });
-    }
+  if (injector_) {
+    injector_->link_metrics(*registry_);
+    registry_->link_counter_fn(
+        "recovery.result_retries", merged([](const Shard& s) {
+          return s.recovery.result_retries.value();
+        }));
+    registry_->link_counter_fn(
+        "recovery.request_retries", merged([](const Shard& s) {
+          return s.recovery.request_retries.value();
+        }));
   }
 
-  if (config_.obs.trace && K == 1) {
-    // Causal flight recorder: one ring shared by every component, so the
-    // export interleaves all tracks in recording order.
-    recorder_ = std::make_unique<obs::FlightRecorder>(
-        config_.obs.trace_capacity);
-    provider_->set_flight_recorder(recorder_.get());
-    controller_->set_flight_recorder(recorder_.get());
-    // Engines gate their own emission (the static default never emits), so
-    // attaching the recorder costs nothing by default.
-    controller_->engine().set_flight_recorder(recorder_.get());
-    backend_->set_flight_recorder(recorder_.get());
-    if (verifier_) verifier_->set_flight_recorder(recorder_.get());
-    for (auto& aggregator : aggregators_) {
-      aggregator->set_flight_recorder(recorder_.get());
-    }
-    network_->set_recorder(recorder_.get());
-    for (auto& channel : channels_) channel->set_recorder(recorder_.get());
-    for (auto& receiver : receivers_) receiver->set_recorder(recorder_.get());
-    pna_env_.recorder = recorder_.get();
-    if (injector_) injector_->set_recorder(recorder_.get());
-    // Protocol-trace log lines share the recorder's clock: while this
-    // system is tracing, every Logger line carries t=<sim seconds>.
-    util::Logger::instance().set_clock(
-        [this] { return simulation_->now().seconds(); });
-  } else if (config_.obs.trace) {
+  if (config_.obs.trace) {
     // One ring per shard, written only by that shard's window thread.
     // Strided id streams (offset s, stride K) keep event ids disjoint, so
     // obs::merge_events() yields one chronological population-wide export.
-    shard_recorders_.reserve(K);
     for (std::size_t s = 0; s < K; ++s) {
-      auto rec =
+      shards_[s].recorder =
           std::make_unique<obs::FlightRecorder>(config_.obs.trace_capacity);
-      rec->set_id_stream(s, K);
-      shard_recorders_.push_back(std::move(rec));
-    }
-    obs::FlightRecorder* control_rec = shard_recorders_.front().get();
-    provider_->set_flight_recorder(control_rec);
-    controller_->set_flight_recorder(control_rec);
-    // Engine decisions all happen on the control shard — its ring is the
-    // right home for control.* events at any K.
-    controller_->engine().set_flight_recorder(control_rec);
-    backend_->set_flight_recorder(control_rec);
-    // Quorum decisions happen in Backend handlers on the control shard.
-    if (verifier_) verifier_->set_flight_recorder(control_rec);
-    for (std::size_t a = 0; a < aggregators_.size(); ++a) {
-      aggregators_[a]->set_flight_recorder(shard_recorders_[a % K].get());
-    }
-    network_->set_recorder(control_rec);
-    for (std::size_t s = 0; s < K; ++s) {
-      network_->set_shard_recorder(s, shard_recorders_[s].get());
-    }
-    for (auto& channel : channels_) channel->set_recorder(control_rec);
-    for (auto& receiver : receivers_) {
-      receiver->set_recorder(shard_recorders_[receiver->shard()].get());
-    }
-    for (std::size_t s = 0; s < K; ++s) {
-      shard_envs_[s].recorder = shard_recorders_[s].get();
-    }
-    if (injector_) {
-      injector_->set_recorder(control_rec);
-      for (std::size_t s = 0; s < K; ++s) {
-        injector_->set_shard_recorder(s, shard_recorders_[s].get());
+      shards_[s].recorder->set_id_stream(s, K);
+      shards_[s].env.recorder = shards_[s].recorder.get();
+      network_->set_shard_recorder(s, shards_[s].recorder.get());
+      if (injector_) {
+        injector_->set_shard_recorder(s, shards_[s].recorder.get());
       }
     }
+    // The control plane — Provider, Controller and its engine, Backend and
+    // the quorum decisions, the channels, the plan-level faults — runs on
+    // shard 0, so its ring is their home. Engines gate their own emission
+    // (the static default never emits).
+    obs::FlightRecorder* control_rec = shards_.front().recorder.get();
+    provider_->set_flight_recorder(control_rec);
+    controller_->set_flight_recorder(control_rec);
+    controller_->engine().set_flight_recorder(control_rec);
+    backend_->set_flight_recorder(control_rec);
+    if (verifier_) verifier_->set_flight_recorder(control_rec);
+    if (injector_) injector_->set_recorder(control_rec);
+    for (auto& channel : channels_) channel->set_recorder(control_rec);
+    for (std::size_t a = 0; a < aggregators_.size(); ++a) {
+      aggregators_[a]->set_flight_recorder(shards_[a % K].recorder.get());
+    }
+    for (auto& receiver : receivers_) {
+      receiver->set_recorder(shards_[receiver->shard()].recorder.get());
+    }
+    // Protocol-trace log lines share the recorder's clock: while this
+    // system is tracing, every Logger line carries t=<sim seconds>.
     util::Logger::instance().set_clock(
         [this] { return simulation_->now().seconds(); });
   }
@@ -830,7 +696,7 @@ void OddciSystem::wire_observability() {
   sopts.interval = config_.obs.sample_interval;
   sopts.max_points = config_.obs.max_series_points;
   sampler_ = std::make_unique<obs::Sampler>(*simulation_, *registry_, sopts);
-  if (K > 1) sampler_->set_sharded(sharded_.get());
+  sampler_->set_sharded(sharded_.get());
   sampler_->add_gauge_series("series.instance_size", [this] {
     return static_cast<double>(controller_->total_member_count());
   });
@@ -843,18 +709,10 @@ void OddciSystem::wire_observability() {
   sampler_->add_gauge_series("series.carousel_files", [this] {
     return static_cast<double>(channels_.front()->current().files.size());
   });
-  if (K == 1) {
-    sampler_->add_rate_series("series.heartbeat_rate",
-                              pna_counters_.heartbeats_sent);
-  } else {
-    sampler_->add_rate_series_fn("series.heartbeat_rate", [this] {
-      std::uint64_t sum = 0;
-      for (const auto& c : shard_pna_counters_) {
-        sum += c.heartbeats_sent.value();
-      }
-      return sum;
-    });
-  }
+  sampler_->add_rate_series(
+      "series.heartbeat_rate", merged([](const Shard& s) {
+        return s.counters.heartbeats_sent.value();
+      }));
   // Conservation auditor, sampled at the same parked tick points the
   // series probes use; run_job folds the final verdict into RunResult.
   health_ = std::make_unique<obs::HealthAuditor>(
@@ -910,18 +768,13 @@ obs::HealthLedger OddciSystem::health_ledger() const {
     ledger.heartbeats_lost = faults.tracked_lost;
     ledger.heartbeats_duplicated = faults.tracked_duplicated;
   }
-  const std::size_t K = sharded_->shard_count();
-  if (K == 1) {
-    ledger.heartbeats_emitted = pna_counters_.heartbeats_sent.value();
-  } else {
-    for (const auto& c : shard_pna_counters_) {
-      ledger.heartbeats_emitted += c.heartbeats_sent.value();
-    }
-  }
+  ledger.heartbeats_emitted = sum_shards(
+      [](const Shard& s) { return s.counters.heartbeats_sent.value(); });
   ledger.heartbeats_received = controller_->stats().heartbeats_received;
   for (const auto& aggregator : aggregators_) {
     ledger.heartbeats_received += aggregator->stats().heartbeats_received;
   }
+  const std::size_t K = sharded_->shard_count();
   ledger.shards.reserve(K);
   for (std::size_t s = 0; s < K; ++s) {
     const sim::Simulation& shard = sharded_->shard(s);
@@ -934,17 +787,12 @@ obs::HealthLedger OddciSystem::health_ledger() const {
   }
   // Pool balance only holds on the fan-out fast path, where every emitted
   // heartbeat goes through exactly one pool acquire.
-  if (heartbeat_pool_) {
+  if (config_.fanout_fast_path) {
     ledger.pool_active = true;
-    ledger.pool_acquired = heartbeat_pool_->reused().value() +
-                           heartbeat_pool_->allocated().value();
-    ledger.pool_expected = ledger.heartbeats_emitted;
-  } else if (!shard_heartbeat_pools_.empty()) {
-    ledger.pool_active = true;
-    for (const auto& pool : shard_heartbeat_pools_) {
-      ledger.pool_acquired +=
-          pool->reused().value() + pool->allocated().value();
-    }
+    ledger.pool_acquired = sum_shards([](const Shard& s) {
+      return s.heartbeat_pool->reused().value() +
+             s.heartbeat_pool->allocated().value();
+    });
     ledger.pool_expected = ledger.heartbeats_emitted;
   }
   if (verifier_) {
@@ -995,16 +843,15 @@ obs::HealthLedger OddciSystem::health_ledger() const {
 OddciSystem::~OddciSystem() {
   // The logger clock captures this system's simulation; remove it before
   // the simulation goes away.
-  if (recorder_ || !shard_recorders_.empty()) {
-    util::Logger::instance().clear_clock();
-  }
+  if (config_.obs.trace) util::Logger::instance().clear_clock();
 }
 
 std::vector<const obs::FlightRecorder*> OddciSystem::flight_recorders()
     const {
   std::vector<const obs::FlightRecorder*> out;
-  if (recorder_) out.push_back(recorder_.get());
-  for (const auto& rec : shard_recorders_) out.push_back(rec.get());
+  for (const Shard& shard : shards_) {
+    if (shard.recorder) out.push_back(shard.recorder.get());
+  }
   return out;
 }
 
@@ -1017,11 +864,7 @@ bool OddciSystem::apply_pna_fault(std::uint64_t pick, bool hang,
   // first live idle one.
   PnaXlet* idle_victim = nullptr;
   for (std::size_t k = 0; k < n; ++k) {
-    dtv::Receiver& receiver = *receivers_[(pick + k) % n];
-    if (!receiver.powered()) continue;
-    auto* xlet =
-        receiver.application_manager().find(config_.controller.pna_application_id);
-    auto* pna = dynamic_cast<PnaXlet*>(xlet);
+    PnaXlet* pna = pna_of(*receivers_[(pick + k) % n]);
     if (pna == nullptr) continue;
     if (pna->state() == PnaState::kBusy) {
       return hang ? pna->fault_hang(duration) : pna->fault_crash();
@@ -1033,16 +876,17 @@ bool OddciSystem::apply_pna_fault(std::uint64_t pick, bool hang,
               : idle_victim->fault_crash();
 }
 
+PnaXlet* OddciSystem::pna_of(dtv::Receiver& receiver) const {
+  if (!receiver.powered()) return nullptr;
+  return dynamic_cast<PnaXlet*>(receiver.application_manager().find(
+      config_.controller.pna_application_id));
+}
+
 std::size_t OddciSystem::busy_pna_count() const {
   std::size_t busy = 0;
   for (const auto& receiver : receivers_) {
-    if (!receiver->powered()) continue;
-    auto& apps =
-        const_cast<dtv::Receiver&>(*receiver).application_manager();
-    if (auto* xlet = apps.find(0x4F44)) {
-      auto* pna = dynamic_cast<PnaXlet*>(xlet);
-      if (pna != nullptr && pna->state() == PnaState::kBusy) ++busy;
-    }
+    const PnaXlet* pna = pna_of(*receiver);
+    if (pna != nullptr && pna->state() == PnaState::kBusy) ++busy;
   }
   return busy;
 }

@@ -67,12 +67,12 @@ struct SystemConfig {
   /// the carousel).
   double tuned_fraction = 1.0;
 
-  /// Control-plane knobs, passed to the Controller verbatim. This is the
-  /// single home for the heartbeat cadence (`controller.default_heartbeat`),
-  /// the maintenance-loop interval (`controller.monitor_interval`), the
-  /// wakeup overshoot margin (`controller.overshoot_margin`) and the PNA
-  /// Xlet size (`controller.pna_xlet_size`) — previously duplicated as
-  /// top-level scalars.
+  /// Control-plane knobs, passed to the Controller verbatim: the heartbeat
+  /// cadence (`controller.default_heartbeat`), the PNA Xlet size
+  /// (`controller.pna_xlet_size`) and the PNA's AIT identity
+  /// (`controller.pna_application_id`). The maintenance-loop interval,
+  /// staleness window and overshoot margin are policy knobs and live in
+  /// `control` below.
   ControllerOptions controller;
   /// Control-loop policy: which DecisionEngine drives wakeup probability,
   /// trimming and Phi-driven job admission, plus its knobs (see
@@ -279,7 +279,6 @@ class OddciSystem {
   [[nodiscard]] Controller& controller() { return *controller_; }
   [[nodiscard]] Provider& provider() { return *provider_; }
   [[nodiscard]] Backend& backend() { return *backend_; }
-  [[nodiscard]] ChurnProcess* churn() { return churn_.get(); }
   [[nodiscard]] const std::vector<std::unique_ptr<HeartbeatAggregator>>&
   aggregators() const {
     return aggregators_;
@@ -307,15 +306,13 @@ class OddciSystem {
   /// The sim-time series sampler; nullptr when obs is disabled.
   [[nodiscard]] obs::Sampler* sampler() { return sampler_.get(); }
   /// The causal flight recorder; nullptr unless SystemConfig::obs.trace.
-  /// Under a sharded kernel this is shard 0's ring (control-plane events);
-  /// use flight_recorders() for the full per-shard set.
+  /// This is shard 0's ring (control-plane events, and every event of a
+  /// single-shard run); use flight_recorders() for the full per-shard set.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() {
-    if (recorder_) return recorder_.get();
-    return shard_recorders_.empty() ? nullptr : shard_recorders_.front().get();
+    return shards_.front().recorder.get();
   }
   [[nodiscard]] const obs::FlightRecorder* flight_recorder() const {
-    if (recorder_) return recorder_.get();
-    return shard_recorders_.empty() ? nullptr : shard_recorders_.front().get();
+    return shards_.front().recorder.get();
   }
   /// Every live recorder ring, shard order — merge with
   /// obs::merge_events() for a population-wide chronological export.
@@ -337,14 +334,14 @@ class OddciSystem {
   /// with SystemConfig::obs.enabled; the auditor and tests use this.
   [[nodiscard]] obs::HealthLedger health_ledger() const;
 
-  /// Fan-out fast-path components; nullptr when
+  /// Shard 0's fan-out fast-path components; nullptr when
   /// SystemConfig::fanout_fast_path is false.
   [[nodiscard]] const broadcast::VerifyCache* verify_cache() const {
-    return verify_cache_.get();
+    return shards_.front().verify_cache.get();
   }
   [[nodiscard]] const net::MessagePool<HeartbeatMessage>* heartbeat_pool()
       const {
-    return heartbeat_pool_.get();
+    return shards_.front().heartbeat_pool.get();
   }
 
   /// Fault injector driving the configured fault plan; nullptr when
@@ -377,7 +374,38 @@ class OddciSystem {
                     sim::SimTime deadline = sim::SimTime::from_hours(24));
 
  private:
+  /// Everything an agent mutates on the hot path, one block per kernel
+  /// shard (a single-shard run has one block). Only the thread running
+  /// the shard's window touches it; the registry and the health ledger
+  /// merge the blocks between windows. Padded so two shards' cells never
+  /// share a cache line.
+  struct alignas(64) Shard {
+    /// The shard's agents read this environment; its mutable pointers
+    /// lead to the cells below.
+    PnaEnvironment env;
+    obs::PnaCounters counters;
+    obs::LogHistogram acquire_latency{1e-3};
+    /// PNA recovery parameters and counters (env.recovery points here
+    /// when fault injection is enabled).
+    PnaEnvironment::Recovery recovery;
+    /// Fast-path components (only with config_.fanout_fast_path).
+    std::unique_ptr<broadcast::VerifyCache> verify_cache;
+    std::unique_ptr<net::MessagePool<HeartbeatMessage>> heartbeat_pool;
+    /// Flight-recorder ring (only with config_.obs.trace), id stream
+    /// (s, K) so merged exports keep event ids disjoint.
+    std::unique_ptr<obs::FlightRecorder> recorder;
+    /// Carousel section-loss stream of the shard's receivers under a
+    /// multi-shard kernel; a single-shard run draws from the channel's.
+    util::Random loss_rng{0};
+  };
+
   void wire_observability();
+  /// Sum of `read(shard)` over every shard block.
+  template <typename F>
+  [[nodiscard]] std::uint64_t sum_shards(F read) const;
+  /// The PNA hosted by `receiver` under the configured application id;
+  /// nullptr when it is powered off or runs no agent.
+  [[nodiscard]] PnaXlet* pna_of(dtv::Receiver& receiver) const;
   /// FaultInjector's PNA-fault callback: pick a victim agent (preferring a
   /// busy one so crashes hit in-flight tasks) and crash or hang it.
   bool apply_pna_fault(std::uint64_t pick, bool hang, sim::SimTime duration);
@@ -390,27 +418,9 @@ class OddciSystem {
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<broadcast::BroadcastMedium>> channels_;
   std::unique_ptr<ContentStore> store_;
-  /// Fast-path components (only with config_.fanout_fast_path); declared
-  /// before the receivers so they outlive every agent holding a pointer.
-  std::unique_ptr<broadcast::VerifyCache> verify_cache_;
-  std::unique_ptr<net::MessagePool<HeartbeatMessage>> heartbeat_pool_;
-  // --- per-shard state (shards > 1 only; empty otherwise) -------------------
-  // Each worker shard gets private instances of everything an agent touches
-  // on the hot path — counters, histograms, verify cache, heartbeat pool,
-  // recovery block, flight-recorder ring, loss RNG — so no two window
-  // threads ever share a mutable cell. All declared before receivers_:
-  // agents hold pointers into these for their whole life.
-  std::vector<obs::PnaCounters> shard_pna_counters_;
-  std::vector<obs::LogHistogram> shard_acquire_latency_;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> shard_recorders_;
-  std::vector<std::unique_ptr<broadcast::VerifyCache>> shard_verify_caches_;
-  std::vector<std::unique_ptr<net::MessagePool<HeartbeatMessage>>>
-      shard_heartbeat_pools_;
-  std::vector<PnaEnvironment::Recovery> shard_recoveries_;
-  std::vector<PnaEnvironment> shard_envs_;
-  /// Per-shard carousel section-loss streams (K > 1): the channel's own
-  /// stream only serves its shard-0 listeners.
-  std::vector<util::Random> shard_loss_rngs_;
+  /// One block per kernel shard, declared before receivers_: agents hold
+  /// pointers into these for their whole life. Sized once, never resized.
+  std::vector<Shard> shards_;
   std::unique_ptr<Controller> controller_;
   /// Relay tier declared before the leaves: leaves hold its node ids.
   std::vector<std::unique_ptr<AggregatorRelay>> relays_;
@@ -433,29 +443,21 @@ class OddciSystem {
   dtv::XletRegistry xlets_;
   std::vector<std::uint64_t> pna_seeds_;
   std::vector<std::unique_ptr<dtv::Receiver>> receivers_;
-  PnaEnvironment pna_env_;
-  /// PNA-side recovery parameters + counters; pna_env_.recovery points
-  /// here when fault injection is enabled.
-  PnaEnvironment::Recovery pna_recovery_;
-  std::unique_ptr<ChurnProcess> churn_;
-  /// K > 1: one churn process per shard, each driving its shard's receivers
-  /// on its shard's kernel (churn_ stays null).
+  /// One churn process per shard, each driving its shard's receivers on
+  /// its shard's kernel; declared after receivers_, which they point at.
   std::vector<std::unique_ptr<ChurnProcess>> churn_procs_;
   broadcast::SigningKey key_ = 0;
 
   // Observability harness (only when config_.obs.enabled). Declared after
   // the components it links so destruction detaches cleanly.
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::Sampler> sampler_;
   /// Wall-clock profiler (obs.profile) and conservation auditor
   /// (obs.enabled); both read-only with respect to the event trajectory.
   std::unique_ptr<obs::KernelProfiler> profiler_;
   std::unique_ptr<obs::HealthAuditor> health_;
-  obs::PnaCounters pna_counters_;
   obs::BroadcastCounters broadcast_counters_;
-  obs::LogHistogram pna_acquire_latency_{1e-3};
 };
 
 }  // namespace oddci::core

@@ -134,6 +134,7 @@ void FaultInjector::set_sharded(sim::ShardedSimulation* sharded) {
 
 void FaultInjector::set_shard_recorder(std::size_t shard,
                                        obs::FlightRecorder* recorder) {
+  if (!sharded_wire()) return;
   if (shard >= wire_shards_.size()) {
     throw std::out_of_range("FaultInjector: shard recorder index");
   }

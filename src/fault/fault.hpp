@@ -145,8 +145,9 @@ class FaultInjector final : public net::SendInterposer {
   void set_sharded(sim::ShardedSimulation* sharded);
 
   /// Wire-fault trace events for sends originating on `shard` go to this
-  /// recorder (plan-level faults still use set_recorder's). Only meaningful
-  /// after set_sharded with >1 shard.
+  /// recorder (plan-level faults still use set_recorder's). Call after
+  /// set_sharded. With a single shard the one unsplit wire stream reports
+  /// through set_recorder's recorder and this does nothing.
   void set_shard_recorder(std::size_t shard, obs::FlightRecorder* recorder);
 
   /// Expose the fault.* counters in `registry`. The injector must outlive

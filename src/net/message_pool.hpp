@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -73,15 +72,6 @@ class MessagePool {
   [[nodiscard]] const obs::Counter& allocated() const { return allocated_; }
   [[nodiscard]] const obs::Counter& pooled_bytes() const {
     return pooled_bytes_;
-  }
-
-  /// Expose counters as `<prefix>.pool_reused`, `<prefix>.pool_allocated`
-  /// and `<prefix>.pooled_bytes`. The pool must outlive snapshots.
-  void link_metrics(obs::MetricsRegistry& registry,
-                    const std::string& prefix) const {
-    registry.link_counter(prefix + ".pool_reused", reused_);
-    registry.link_counter(prefix + ".pool_allocated", allocated_);
-    registry.link_counter(prefix + ".pooled_bytes", pooled_bytes_);
   }
 
  private:

@@ -146,10 +146,6 @@ void Network::link_queue_metrics(obs::MetricsRegistry& registry) const {
   });
 }
 
-void Network::set_recorder(obs::FlightRecorder* recorder) {
-  for (auto& slot : recorders_) slot = recorder;
-}
-
 void Network::set_shard_recorder(std::size_t shard,
                                  obs::FlightRecorder* recorder) {
   if (shard >= recorders_.size()) {

@@ -150,13 +150,10 @@ class Network {
   /// set (and exports) byte-identical.
   void link_queue_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Attach a flight recorder for every shard: deliveries to detached
-  /// endpoints (powered off receivers) are emitted as message.dropped
-  /// events. nullptr detaches.
-  void set_recorder(obs::FlightRecorder* recorder);
-
-  /// Per-shard recorder (the sharded kernel gives each shard its own
-  /// ring so emission stays lock-free).
+  /// Attach shard `shard`'s flight recorder (each shard has its own ring,
+  /// so emission stays lock-free): deliveries to detached endpoints
+  /// (powered off receivers) and queue tail drops on that shard are
+  /// emitted as trace events. nullptr detaches.
   void set_shard_recorder(std::size_t shard, obs::FlightRecorder* recorder);
 
   /// Interpose `interposer` on every send (fault injection). nullptr

@@ -333,29 +333,6 @@ MetricsSnapshot MetricsRegistry::snapshot(double now_seconds) const {
 
 // --- shared instrument blocks ----------------------------------------------
 
-void PnaCounters::link(MetricsRegistry& registry) const {
-  registry.link_counter("pna.control_messages_seen", control_messages_seen);
-  registry.link_counter("pna.signature_failures", signature_failures);
-  registry.link_counter("pna.wakeups_dropped_busy", wakeups_dropped_busy);
-  registry.link_counter("pna.wakeups_rejected_requirements",
-                        wakeups_rejected_requirements);
-  registry.link_counter("pna.wakeups_dropped_probability",
-                        wakeups_dropped_probability);
-  registry.link_counter("pna.joins", joins);
-  registry.link_counter("pna.resets", resets);
-  registry.link_counter("pna.tasks_completed", tasks_completed);
-  registry.link_counter("pna.heartbeats_sent", heartbeats_sent);
-}
-
-void PnaCounters::link_paced(MetricsRegistry& registry) const {
-  registry.link_counter("pna.heartbeats_paced", heartbeats_paced);
-}
-
-void PnaCounters::link_byzantine(MetricsRegistry& registry) const {
-  registry.link_counter("pna.results_forged", results_forged);
-  registry.link_counter("pna.results_freeridden", results_freeridden);
-}
-
 void BroadcastCounters::link(MetricsRegistry& registry) const {
   registry.link_counter("broadcast.commits", commits);
   registry.link_counter("broadcast.files_staged", files_staged);

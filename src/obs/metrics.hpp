@@ -278,9 +278,10 @@ class MetricsRegistry {
 
 // --- shared instrument blocks ----------------------------------------------
 
-/// Aggregate counters for an entire PNA population: every agent of one
-/// system increments the same cells through a shared pointer in its
-/// environment (agents keep no per-agent copy).
+/// Aggregate counters for a PNA population: every agent on one kernel
+/// shard increments the same cells through a shared pointer in its
+/// environment (agents keep no per-agent copy); the system registers each
+/// cell merged over its shards.
 struct PnaCounters {
   Counter control_messages_seen;
   Counter signature_failures;
@@ -292,18 +293,14 @@ struct PnaCounters {
   Counter tasks_completed;
   Counter heartbeats_sent;
   /// Beats deferred to a pacing-window slot (paced heartbeat mode only;
-  /// registered separately so unpaced snapshots carry no phantom cell).
+  /// registered only then, so unpaced snapshots carry no phantom cell).
   Counter heartbeats_paced;
   /// Results uploaded with a deliberately wrong digest (forgers and
   /// colluders) and tasks returned without computing (free-riders).
-  /// Byzantine profiles only; registered separately so honest-population
+  /// Byzantine profiles only; registered only then, so honest-population
   /// snapshots carry no phantom cells.
   Counter results_forged;
   Counter results_freeridden;
-
-  void link(MetricsRegistry& registry) const;
-  void link_paced(MetricsRegistry& registry) const;
-  void link_byzantine(MetricsRegistry& registry) const;
 };
 
 /// Shared counters for all broadcast media of one system (carousel and

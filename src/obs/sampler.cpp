@@ -33,22 +33,14 @@ void Sampler::add_gauge_series(std::string_view name,
   gauges_.push_back(GaugeProbe{&series, std::move(probe)});
 }
 
-void Sampler::add_rate_series(std::string_view name, const Counter& cell) {
-  if (running_) {
-    throw std::logic_error("Sampler: register probes before start()");
-  }
-  TimeSeries& series = registry_.series(name, options_.max_points);
-  rates_.push_back(RateProbe{&series, &cell, cell.value()});
-}
-
-void Sampler::add_rate_series_fn(std::string_view name,
-                                 std::function<std::uint64_t()> fn) {
+void Sampler::add_rate_series(std::string_view name,
+                              std::function<std::uint64_t()> fn) {
   if (running_) {
     throw std::logic_error("Sampler: register probes before start()");
   }
   TimeSeries& series = registry_.series(name, options_.max_points);
   const std::uint64_t initial = fn();
-  rate_fns_.push_back(RateFnProbe{&series, std::move(fn), initial});
+  rates_.push_back(RateProbe{&series, std::move(fn), initial});
 }
 
 void Sampler::start() {
@@ -91,12 +83,6 @@ void Sampler::tick() {
   }
   const double dt = options_.interval.seconds();
   for (auto& probe : rates_) {
-    const std::uint64_t value = probe.cell->value();
-    probe.series->record(
-        now, static_cast<double>(value - probe.last) / dt);
-    probe.last = value;
-  }
-  for (auto& probe : rate_fns_) {
     const std::uint64_t value = probe.fn();
     probe.series->record(
         now, static_cast<double>(value - probe.last) / dt);

@@ -37,15 +37,11 @@ class Sampler {
   /// Record probe() at every tick (levels: pool sizes, queue depths).
   void add_gauge_series(std::string_view name, std::function<double()> probe);
 
-  /// Record the per-second rate of `cell` over the last interval
-  /// (counter deltas: heartbeat rate, delivery rate). The cell must
-  /// outlive the sampler.
-  void add_rate_series(std::string_view name, const Counter& cell);
-
-  /// Rate series over a computed value — the sharded kernel merges
-  /// per-shard counter cells through a reader function.
-  void add_rate_series_fn(std::string_view name,
-                          std::function<std::uint64_t()> fn);
+  /// Record the per-second rate of the monotone count `fn` reads over the
+  /// last interval (counter deltas: heartbeat rate, delivery rate). A
+  /// reader, not a cell, so per-shard cells can be merged under one name.
+  void add_rate_series(std::string_view name,
+                       std::function<std::uint64_t()> fn);
 
   /// Side hook invoked after the probes at every tick — the system hangs
   /// periodic health audits here, reusing the sampler's coordinator-safe
@@ -77,11 +73,6 @@ class Sampler {
   };
   struct RateProbe {
     TimeSeries* series;
-    const Counter* cell;
-    std::uint64_t last = 0;
-  };
-  struct RateFnProbe {
-    TimeSeries* series;
     std::function<std::uint64_t()> fn;
     std::uint64_t last = 0;
   };
@@ -93,7 +84,6 @@ class Sampler {
   Options options_;
   std::vector<GaugeProbe> gauges_;
   std::vector<RateProbe> rates_;
-  std::vector<RateFnProbe> rate_fns_;
   std::function<void()> on_tick_;
   sim::PeriodicTask task_;
   sim::ShardedSimulation* sharded_ = nullptr;

@@ -2,15 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
 #include "analytical/models.hpp"
 #include "control/bandit_policy.hpp"
 #include "control/proportional_policy.hpp"
 #include "control/static_policy.hpp"
-#include "core/controller.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace oddci::control {
@@ -244,49 +239,6 @@ TEST(StreamSeed, NamedStreamsAreDeterministicAndDisjoint) {
   // The stream seed is not the root: a policy drawing from it never
   // replays the population's sequence.
   EXPECT_NE(util::stream_seed(42, "control.policy"), 42u);
-}
-
-struct DeprecatedAliasTest : ::testing::Test {
-  std::vector<std::string> warnings;
-
-  void SetUp() override {
-    core::reset_controller_deprecation_warnings();
-    util::Logger::instance().set_sink(
-        [this](util::LogLevel level, const std::string& line) {
-          if (level == util::LogLevel::kWarn) warnings.push_back(line);
-        });
-  }
-  void TearDown() override { util::Logger::instance().clear_sink(); }
-};
-
-TEST_F(DeprecatedAliasTest, AliasesForwardIntoPolicyAndWinOverIt) {
-  core::ControllerOptions options;
-  options.policy.overshoot_margin = 1.1;
-  options.overshoot_margin = 1.7;  // deprecated alias takes precedence
-  options.stale_factor = 5.0;
-  options.monitor_interval = sim::SimTime::from_seconds(25);
-
-  const PolicyOptions effective = options.effective_policy();
-  EXPECT_DOUBLE_EQ(effective.overshoot_margin, 1.7);
-  EXPECT_DOUBLE_EQ(effective.stale_factor, 5.0);
-  EXPECT_EQ(effective.monitor_interval, sim::SimTime::from_seconds(25));
-  EXPECT_EQ(warnings.size(), 3u);
-  for (const auto& line : warnings) {
-    EXPECT_NE(line.find("deprecated"), std::string::npos) << line;
-  }
-
-  // Warnings fire once per field per process, not per call.
-  (void)options.effective_policy();
-  EXPECT_EQ(warnings.size(), 3u);
-}
-
-TEST_F(DeprecatedAliasTest, UnsetAliasesAreSilentAndLeavePolicyUntouched) {
-  core::ControllerOptions options;
-  options.policy.overshoot_margin = 1.3;
-  const PolicyOptions effective = options.effective_policy();
-  EXPECT_DOUBLE_EQ(effective.overshoot_margin, 1.3);
-  EXPECT_DOUBLE_EQ(effective.stale_factor, 3.0);
-  EXPECT_TRUE(warnings.empty());
 }
 
 }  // namespace

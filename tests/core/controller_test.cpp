@@ -255,17 +255,16 @@ TEST_F(ControllerTest, RecompositionRebroadcastsWakeup) {
 }
 
 TEST_F(ControllerTest, OptionValidation) {
-  // Deliberately through the deprecated aliases: a bad value forwarded
-  // into the policy must still throw at construction.
+  // A bad policy knob must throw at construction.
   ControllerOptions bad;
-  bad.monitor_interval = sim::SimTime::zero();
+  bad.policy.monitor_interval = sim::SimTime::zero();
   EXPECT_THROW(Controller(sim, net, channel, store, 1,
                           net::LinkSpec{kMbps(1), kMbps(1),
                                         sim::SimTime::zero()},
                           bad),
                std::invalid_argument);
   bad = ControllerOptions{};
-  bad.stale_factor = 1.0;
+  bad.policy.stale_factor = 1.0;
   EXPECT_THROW(Controller(sim, net, channel, store, 1,
                           net::LinkSpec{kMbps(1), kMbps(1),
                                         sim::SimTime::zero()},

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/system.hpp"
 #include "obs/export.hpp"
@@ -162,6 +166,68 @@ TEST(ShardedReplay, ChurningPopulationOnTwoShardsIsByteIdentical) {
   const Export second = run_scenario(build());
   EXPECT_EQ(first, second);
   EXPECT_TRUE(first.completed);
+}
+
+// Every metric name of a run, tagged with its kind.
+std::set<std::string> schema_of(const obs::MetricsSnapshot& m) {
+  std::set<std::string> names;
+  for (const auto& c : m.counters) names.insert("counter " + c.name);
+  for (const auto& g : m.gauges) names.insert("gauge " + g.name);
+  for (const auto& h : m.histograms) names.insert("histogram " + h.name);
+  for (const auto& s : m.series) names.insert("series " + s.name);
+  return names;
+}
+
+// One registration path serves every shard count, so a run exports the
+// same metric names at K = 1 as at K > 1. The scenario turns on every
+// conditionally registered group: paced heartbeats, faults with forgers,
+// verification, the return channel, churn and tracing.
+TEST(ShardedReplay, MetricSchemaIsTheSameAtEveryShardCount) {
+  const auto run = [](std::size_t shards, bool fast_path) {
+    SystemConfig config = scenario(shards);
+    config.receivers = 4'000;
+    config.heartbeat.paced = true;
+    config.return_channel.enabled = true;
+    ChurnOptions churn;
+    churn.mean_on_seconds = 600.0;
+    churn.mean_off_seconds = 120.0;
+    config.churn = churn;
+    config.fault.enabled = true;
+    config.fault.message_loss = 0.01;
+    config.fault.pna_crashes_per_hour = 10.0;
+    config.fault.byzantine_forger_fraction = 0.05;
+    config.verify.enabled = true;
+    config.fanout_fast_path = fast_path;
+    OddciSystem system(config);
+    const auto job = workload::make_uniform_job(
+        "schema", util::Bits::from_megabytes(2), 60,
+        util::Bits::from_bytes(512), util::Bits::from_bytes(512), 10.0);
+    return schema_of(
+        system.run_job(job, 30, sim::SimTime::from_hours(2)).metrics);
+  };
+
+  for (const bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
+    const std::set<std::string> one = run(1, fast_path);
+    for (const char* name :
+         {"counter pna.heartbeats_paced", "counter pna.results_forged",
+          "counter recovery.result_retries",
+          "counter net.uplink_queue_dropped",
+          "histogram pna.acquire_latency_seconds",
+          "series series.heartbeat_rate"}) {
+      EXPECT_EQ(one.count(name), 1u) << name;
+    }
+    EXPECT_EQ(one.count("counter verify_cache.hit"), fast_path ? 1u : 0u);
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("K" + std::to_string(shards));
+      const std::set<std::string> many = run(shards, fast_path);
+      // The names only one side exports; empty when the schemas match.
+      std::vector<std::string> differ;
+      std::set_symmetric_difference(one.begin(), one.end(), many.begin(),
+                                    many.end(), std::back_inserter(differ));
+      EXPECT_EQ(differ, std::vector<std::string>{});
+    }
+  }
 }
 
 }  // namespace

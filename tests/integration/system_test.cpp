@@ -145,6 +145,35 @@ TEST(SystemIntegration, ConfigValidation) {
   EXPECT_THROW(OddciSystem{config}, std::invalid_argument);
 }
 
+// busy_pna_count() finds agents under the AIT application id the
+// Controller deploys them with, whatever that id is configured to.
+TEST(SystemIntegration, BusyCountFollowsTheConfiguredApplicationId) {
+  for (const std::uint32_t app_id : {0x4F44u, 0x1234u}) {
+    SCOPED_TRACE(app_id);
+    SystemConfig config = small_config();
+    config.receivers = 400;
+    config.controller.pna_application_id = app_id;
+    OddciSystem system(config);
+    system.controller().deploy_pna();
+    system.kernel().run_until(system.kernel().now() + config.warmup);
+    EXPECT_EQ(system.busy_pna_count(), 0u);
+
+    InstanceSpec spec;
+    spec.name = "busy";
+    spec.target_size = 40;
+    spec.image_size = util::Bits::from_megabytes(2);
+    spec.heartbeat_interval = config.controller.default_heartbeat;
+    const InstanceId id =
+        system.provider().request_instance(spec, system.backend().node_id());
+    system.kernel().run_until(system.kernel().now() +
+                              sim::SimTime::from_seconds(600));
+    const InstanceStatus* status = system.controller().status(id);
+    ASSERT_NE(status, nullptr);
+    ASSERT_TRUE(status->reached_target_at.has_value());
+    EXPECT_GE(system.busy_pna_count(), spec.target_size);
+  }
+}
+
 TEST(SystemIntegration, EfficiencyFormula) {
   RunResult r;
   r.makespan_seconds = 100.0;

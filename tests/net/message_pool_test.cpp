@@ -69,18 +69,5 @@ TEST(MessagePool, PooledBytesCountWireBytesServedFromSlots) {
   EXPECT_EQ(pool.allocated().value(), 2u);
 }
 
-TEST(MessagePool, LinkMetricsExposesPrefixedCounters) {
-  MessagePool<HeartbeatMessage> pool(2);
-  obs::MetricsRegistry registry;
-  pool.link_metrics(registry, "heartbeat");
-  { auto m = pool.acquire(1u, PnaState::kIdle, 0u); }
-  { auto m = pool.acquire(2u, PnaState::kIdle, 0u); }
-
-  const auto snap = registry.snapshot(0.0);
-  EXPECT_EQ(snap.counter_value("heartbeat.pool_allocated"), 2u);
-  EXPECT_EQ(snap.counter_value("heartbeat.pool_reused"), 0u);
-  EXPECT_GT(snap.counter_value("heartbeat.pooled_bytes"), 0u);
-}
-
 }  // namespace
 }  // namespace oddci::net

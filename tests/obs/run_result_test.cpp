@@ -31,17 +31,17 @@ TEST(RunResultEfficiency, MatchesEquationTwo) {
   EXPECT_DOUBLE_EQ(result.efficiency(1000, 30.0, 100), 0.5);
 }
 
-// --- SystemConfig validation of the merged controller knobs ------------------
+// --- SystemConfig validation of the controller and policy knobs -------------
 
 TEST(SystemConfigValidate, RejectsBadControllerKnobs) {
   SystemConfig config;
-  config.controller.overshoot_margin = 0.0;
+  config.control.overshoot_margin = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = SystemConfig{};
   config.controller.default_heartbeat = sim::SimTime::zero();
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = SystemConfig{};
-  config.controller.monitor_interval = sim::SimTime::zero();
+  config.control.monitor_interval = sim::SimTime::zero();
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = SystemConfig{};
   config.obs.sample_interval = sim::SimTime::zero();
@@ -71,7 +71,7 @@ TEST(SystemMetrics, HundredThousandReceiverRunExportsFullSnapshot) {
   config.channels = 8;
   config.aggregators = 16;
   config.seed = 99;
-  config.controller.overshoot_margin = 1.3;
+  config.control.overshoot_margin = 1.3;
   // Sample fast enough to watch the join wave, not just steady state.
   config.obs.sample_interval = sim::SimTime::from_seconds(5);
 

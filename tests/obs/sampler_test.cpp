@@ -55,7 +55,7 @@ TEST(Sampler, RateSeriesIsPerSecondDelta) {
   Sampler sampler(simulation, reg, opts);
 
   Counter beats;
-  sampler.add_rate_series("rate", beats);
+  sampler.add_rate_series("rate", [&beats] { return beats.value(); });
   sampler.start();
 
   // 30 increments in the first interval, none in the second.
@@ -78,8 +78,8 @@ TEST(Sampler, ProbesMustRegisterBeforeStart) {
   sampler.start();
   EXPECT_THROW(sampler.add_gauge_series("late", [] { return 0.0; }),
                std::logic_error);
-  Counter c;
-  EXPECT_THROW(sampler.add_rate_series("late", c), std::logic_error);
+  EXPECT_THROW(sampler.add_rate_series("late", [] { return 0u; }),
+               std::logic_error);
   sampler.stop();
   EXPECT_FALSE(sampler.running());
 }
