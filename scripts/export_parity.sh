@@ -6,14 +6,16 @@
 #
 # Builds oddci_runner (Release) twice: for <base-rev>, exported with
 # `git archive` into build-parity/base-src, and for the working tree. Then
-# runs the same 16 seeded scenarios on both and compares, per run, the
+# runs the same 19 seeded scenarios on both and compares, per run, the
 # metrics JSON, the series CSV and the Chrome trace with `cmp`, plus stdout
 # without its `scenario:` line (the path differs). Each side runs its own
 # scenario files, so a change to a scenario shows up as a difference.
 #
-# Prints every file that differs. Exit status: 0 when all match, 1 when
-# any differs, 2 on a usage or build error. Everything it writes lives in
-# build-parity/ (git-ignored); delete that directory when done.
+# Prints every file that differs and, for each differing metrics JSON, the
+# differing cells: kind, name and, for a series, how many points differ
+# and the first one. Exit status: 0 when all match, 1 when any differs, 2
+# on a usage or build error. Everything it writes lives in build-parity/
+# (git-ignored); delete that directory when done.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -40,9 +42,19 @@ git -C "$root" archive "$base_rev" | tar -x -C "$work/base-src"
 build_runner "$work/base-src" "$work/base-build" || exit 2
 build_runner "$root" "$work/head-build" || exit 2
 
-# name | scenario | overrides. Sizes are cut down from the scenario files
-# where those take minutes; the profiler stays off so stdout carries no
-# wall-clock figures.
+# CI's combined fault matrix (fault-smoke job), run from an empty scenario
+# file: the only runs here with fixed-time plan events (a Controller crash
+# at 150 s, a Backend crash at 250 s).
+fault_matrix="receivers=1000 aggregators=4 instance_size=100 tasks=500 \
+task_seconds=10 overshoot=1.3 fault=true fault_loss=0.02 \
+fault_duplication=0.02 fault_latency_spike_p=0.01 fault_partitions_ph=30 \
+fault_aggregator_crash_ph=20 fault_failover_s=30 \
+fault_controller_crash_s=150 fault_backend_crash_s=250 fault_pna_crash_ph=40 \
+fault_pna_hang_ph=20 fault_corrupt_ph=10"
+
+# name | scenario | overrides; scenario "-" is the empty file. Sizes are
+# cut down from the scenario files where those take minutes; the profiler
+# stays off so stdout carries no wall-clock figures.
 runs=(
   "paper_baseline_k1|paper_baseline|shards=1"
   "paper_baseline_k4|paper_baseline|shards=4"
@@ -60,19 +72,77 @@ runs=(
   "fast_path_off_k1|faulty_region|shards=1 fanout_fast_path=false"
   "fast_path_off_k4|faulty_region|shards=4 fanout_fast_path=false"
   "delta_paced_k1|paper_baseline|shards=1 aggregators=8 heartbeat_mode=delta heartbeat_paced=true tree_fanin=4"
+  "fault_matrix_k1|-|shards=1 $fault_matrix"
+  "fault_matrix_k4|-|shards=4 $fault_matrix"
+  "relay_k4|paper_baseline|shards=4 aggregators=16 heartbeat_mode=delta tree_fanin=8"
 )
 
 run_side() {  # <side> <runner> <source dir> <name> <scenario> <overrides>
-  local out="$work/out/$1" status=0
+  local out="$work/out/$1" status=0 cfg="$3/examples/scenarios/$5.cfg"
+  [[ $5 == - ]] && cfg=/dev/null
   mkdir -p "$out"
   # Relative export paths, so the runner's "wrote ..." lines match.
   # shellcheck disable=SC2086
-  (cd "$out" && "$2" "$3/examples/scenarios/$5.cfg" $6 \
+  (cd "$out" && "$2" "$cfg" $6 \
     "metrics_json=$4.metrics.json" "series_csv=$4.series.csv" \
     "trace_json=$4.trace.json" >"$4.stdout" 2>"$4.stderr") || status=$?
   # The exit status is part of the compared output.
   { grep -v '^scenario: ' "$out/$4.stdout" || true
     echo "exit status: $status"; } >"$out/$4.stdout.cmp"
+}
+
+# Lists the cells in which two oddci.metrics.v1 files differ.
+diff_metrics() {  # <base json> <head json>
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+
+base, head = (json.load(open(p)) for p in sys.argv[1:3])
+out = []
+for kind in ("counters", "gauges"):
+    a, b = base.get(kind, {}), head.get(kind, {})
+    for name in sorted(set(a) | set(b)):
+        if a.get(name) != b.get(name):
+            out.append(f"{kind[:-1]} {name}: {a.get(name)} -> {b.get(name)}")
+for kind in ("histograms", "series"):
+    a = {m["name"]: m for m in base.get(kind, [])}
+    b = {m["name"]: m for m in head.get(kind, [])}
+    for name in sorted(set(a) | set(b)):
+        x, y = a.get(name), b.get(name)
+        if x == y:
+            continue
+        if x is None or y is None:
+            out.append(f"{kind[:-1]} {name}: only in {'head' if x is None else 'base'}")
+        elif kind == "series":
+            px = list(zip(x["times"], x["values"]))
+            py = list(zip(y["times"], y["values"]))
+            bad = [i for i in range(max(len(px), len(py)))
+                   if i >= len(px) or i >= len(py) or px[i] != py[i]]
+            if not bad:
+                out.append(f"series {name}: dropped {x['dropped']} -> {y['dropped']}")
+                continue
+            i = bad[0]
+            first = (f"(t={px[i][0]}, {px[i][1]})" if i < len(px) else "none") + \
+                " -> " + (f"(t={py[i][0]}, {py[i][1]})" if i < len(py) else "none")
+            out.append(f"series {name}: {len(bad)} of {max(len(px), len(py))} "
+                       f"points differ, first #{i} {first}")
+        else:
+            fields = [k for k in x if x.get(k) != y.get(k)]
+            out.append(f"{kind[:-1]} {name}: " + ", ".join(
+                f"{k} differ" if isinstance(x[k], list)
+                else f"{k} {x[k]} -> {y.get(k)}"
+                for k in fields))
+a, b = base.get("spans", []), head.get("spans", [])
+bad = [i for i in range(max(len(a), len(b)))
+       if i >= len(a) or i >= len(b) or a[i] != b[i]]
+if bad:
+    i = bad[0]
+    out.append(f"spans: {len(bad)} of {max(len(a), len(b))} differ, first #{i} "
+               f"{a[i] if i < len(a) else 'none'} -> {b[i] if i < len(b) else 'none'}")
+if base.get("taken_at_seconds") != head.get("taken_at_seconds"):
+    out.append(f"taken_at_seconds: {base.get('taken_at_seconds')} -> "
+               f"{head.get('taken_at_seconds')}")
+print("\n".join("    " + line for line in out))
+PY
 }
 
 differ=()
@@ -97,7 +167,12 @@ done
 
 if [[ ${#differ[@]} -gt 0 ]]; then
   echo "export parity FAILED: ${#differ[@]} file(s) differ from ${base_rev:0:12}:"
-  printf '  %s\n' "${differ[@]}"
+  for f in "${differ[@]}"; do
+    echo "  $f"
+    if [[ $f == *.metrics.json && -e $work/out/base/$f && -e $work/out/head/$f ]]; then
+      diff_metrics "$work/out/base/$f" "$work/out/head/$f"
+    fi
+  done
   echo "(outputs under $work/out/{base,head})"
   exit 1
 fi

@@ -1,6 +1,7 @@
 #include "core/aggregator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace oddci::core {
 
@@ -56,63 +57,46 @@ void HeartbeatAggregator::on_message(net::NodeId /*from*/,
   }
   if (message->tag() != kTagHeartbeat) return;
   const auto& hb = static_cast<const HeartbeatMessage&>(*message);
-  ++stats_.heartbeats_received;
   const std::uint64_t id = hb.pna_id();
+  if (id % shard_stride_ != shard_phase_) {
+    throw std::logic_error("HeartbeatAggregator: heartbeat from PNA " +
+                           std::to_string(id) + " outside the shard");
+  }
+  ++stats_.heartbeats_received;
+  const auto slot = static_cast<std::uint32_t>(id / shard_stride_);
   if (options_.mode == HeartbeatMode::kDelta) {
-    ledger_note(id, hb);
+    ledger_note(slot, hb);
     return;
   }
-  if (id % shard_stride_ == shard_phase_) {
-    const std::uint64_t slot = id / shard_stride_;
-    if (slot < kMaxDenseSlots) {
-      if (slot >= dense_.size()) dense_.resize(slot + 1);
-      DenseRecord& cell = dense_[slot];
-      if (cell.epoch != epoch_) {
-        cell.epoch = epoch_;
-        touched_.push_back(static_cast<std::uint32_t>(slot));
-      }
-      cell.rec = Record{hb.state(), hb.instance(), hb.trace()};
-      return;
-    }
+  if (slot >= dense_.size()) dense_.resize(slot + 1);
+  DenseRecord& cell = dense_[slot];
+  if (cell.epoch != epoch_) {
+    cell.epoch = epoch_;
+    touched_.push_back(slot);
   }
-  overflow_[id] = Record{hb.state(), hb.instance(), hb.trace()};
+  cell.rec = Record{hb.state(), hb.instance(), hb.trace()};
 }
 
-void HeartbeatAggregator::ledger_note(std::uint64_t id,
+void HeartbeatAggregator::ledger_note(std::uint32_t slot,
                                       const HeartbeatMessage& hb) {
   announcing_ = false;
-  auto note = [&](LedgerRecord& rec, auto mark_dirty) {
-    const bool changed = !rec.known || rec.state != hb.state() ||
-                         rec.instance != hb.instance();
-    if (!rec.known) {
-      rec.known = true;
-      ++ledger_members_;
-    }
-    if (changed && !rec.dirty) {
-      rec.dirty = true;
-      mark_dirty();
-    }
-    rec.state = hb.state();
-    rec.instance = hb.instance();
-    rec.trace = hb.trace();
-    rec.last_seen = simulation_.now();
-  };
-  if (id % shard_stride_ == shard_phase_) {
-    const std::uint64_t slot = id / shard_stride_;
-    if (slot < kMaxDenseSlots) {
-      if (slot >= ledger_.size()) ledger_.resize(slot + 1);
-      LedgerRecord& rec = ledger_[slot];
-      const bool fresh = !rec.known;
-      note(rec, [&] {
-        ledger_dirty_.push_back(static_cast<std::uint32_t>(slot));
-      });
-      if (fresh) {
-        ledger_order_.push_back(static_cast<std::uint32_t>(slot));
-      }
-      return;
-    }
+  if (slot >= ledger_.size()) ledger_.resize(slot + 1);
+  LedgerRecord& rec = ledger_[slot];
+  const bool changed = !rec.known || rec.state != hb.state() ||
+                       rec.instance != hb.instance();
+  if (!rec.known) {
+    rec.known = true;
+    ++ledger_members_;
+    ledger_order_.push_back(slot);
   }
-  note(ledger_overflow_[id], [&] { overflow_dirty_.push_back(id); });
+  if (changed && !rec.dirty) {
+    rec.dirty = true;
+    ledger_dirty_.push_back(slot);
+  }
+  rec.state = hb.state();
+  rec.instance = hb.instance();
+  rec.trace = hb.trace();
+  rec.last_seen = simulation_.now();
 }
 
 void HeartbeatAggregator::flush() {
@@ -120,7 +104,7 @@ void HeartbeatAggregator::flush() {
     flush_delta();
     return;
   }
-  if (touched_.empty() && overflow_.empty()) {
+  if (touched_.empty()) {
     if (!announcing_) return;
     // Still cut off from our shard after a restart: repeat the recovery
     // announcement until the Controller restores our routing slot (a lost
@@ -135,18 +119,14 @@ void HeartbeatAggregator::flush() {
   announcing_ = false;
   std::vector<AggregateReportMessage::Entry> entries;
   entries.reserve(window_size());
-  // Dense slots flush in arrival order (deterministic), then overflow ids.
+  // Slots flush in arrival order (deterministic).
   for (const std::uint32_t slot : touched_) {
     const Record& rec = dense_[slot].rec;
     entries.push_back({slot * shard_stride_ + shard_phase_, rec.state,
                        rec.instance, rec.trace});
   }
-  for (const auto& [pna, rec] : overflow_) {
-    entries.push_back({pna, rec.state, rec.instance, rec.trace});
-  }
   touched_.clear();
-  ++epoch_;  // every dense cell is now logically outside the window
-  overflow_.clear();
+  ++epoch_;  // every cell is now logically outside the window
   if (recorder_ != nullptr) {
     recorder_->emit(simulation_.now(), obs::TraceEventKind::kAggregateFlush,
                     obs::TraceComponent::kAggregator, {}, node_id_,
@@ -183,16 +163,6 @@ void HeartbeatAggregator::flush_delta() {
       ledger_order_[keep++] = slot;
     }
     ledger_order_.resize(keep);
-    for (auto it = ledger_overflow_.begin(); it != ledger_overflow_.end();) {
-      if (now - it->second.last_seen > options_.expiry) {
-        entries.push_back({it->first, DeltaReportMessage::Op::kExpire,
-                           it->second.state, it->second.instance, {}});
-        --ledger_members_;
-        it = ledger_overflow_.erase(it);
-      } else {
-        ++it;
-      }
-    }
     stats_.expiries_sent += entries.size();
   }
 
@@ -214,14 +184,7 @@ void HeartbeatAggregator::flush_delta() {
       checksum ^= delta_member_mix(entries.back().pna_id, rec.state,
                                    rec.instance);
     }
-    for (auto& [id, rec] : ledger_overflow_) {
-      rec.dirty = false;
-      entries.push_back({id, DeltaReportMessage::Op::kUpdate, rec.state,
-                         rec.instance, rec.trace});
-      checksum ^= delta_member_mix(id, rec.state, rec.instance);
-    }
     ledger_dirty_.clear();
-    overflow_dirty_.clear();
     ++stats_.resyncs_sent;
   } else {
     --next_resync_;
@@ -234,15 +197,6 @@ void HeartbeatAggregator::flush_delta() {
                          rec.instance, rec.trace});
     }
     ledger_dirty_.clear();
-    for (const std::uint64_t id : overflow_dirty_) {
-      auto it = ledger_overflow_.find(id);
-      if (it == ledger_overflow_.end() || !it->second.dirty) continue;
-      it->second.dirty = false;
-      entries.push_back({id, DeltaReportMessage::Op::kUpdate,
-                         it->second.state, it->second.instance,
-                         it->second.trace});
-    }
-    overflow_dirty_.clear();
     // Nothing ever reported and nothing to say: stay silent, like the
     // naive tier before its first window (the Controller's failover clock
     // only arms after an aggregator's first report).
@@ -276,8 +230,6 @@ void HeartbeatAggregator::clear_ledger() {
   }
   ledger_order_.clear();
   ledger_dirty_.clear();
-  ledger_overflow_.clear();
-  overflow_dirty_.clear();
   ledger_members_ = 0;
 }
 
@@ -292,7 +244,6 @@ void HeartbeatAggregator::crash() {
   // why its first frame back is a (possibly empty) resync.
   touched_.clear();
   ++epoch_;
-  overflow_.clear();
   clear_ledger();
 }
 

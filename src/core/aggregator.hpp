@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -63,11 +61,13 @@ class HeartbeatAggregator final : public net::Endpoint {
 
   /// Declare the shard this aggregator serves: PNAs whose
   /// `pna_id % stride == phase` (the selection rule agents apply to the
-  /// control message's aggregator list). Sharded ids collapse to the dense
-  /// slot `pna_id / stride`, turning the per-heartbeat window write into a
-  /// vector store instead of a hash-map node allocation. Ids outside the
-  /// shard (or beyond the dense cap) still work via an overflow map, so
-  /// standalone/unsharded use keeps its old semantics.
+  /// control message's aggregator list; the default, stride 1, serves
+  /// every id). PNA ids are node ids, which the network hands out
+  /// contiguously, so each id maps to the slot `pna_id / stride` of a flat
+  /// table bounded by the population. Agents of a failed-over slot
+  /// re-home to the Controller, never to another aggregator, so a
+  /// heartbeat from outside the shard is a routing bug: on_message throws
+  /// std::logic_error.
   void set_shard(std::uint64_t stride, std::uint64_t phase);
 
   /// Re-point the upstream hop (defaults to the Controller passed at
@@ -116,7 +116,7 @@ class HeartbeatAggregator final : public net::Endpoint {
  private:
   void flush();
   void flush_delta();
-  void ledger_note(std::uint64_t id, const HeartbeatMessage& hb);
+  void ledger_note(std::uint32_t slot, const HeartbeatMessage& hb);
   void clear_ledger();
 
   sim::Simulation& simulation_;
@@ -131,11 +131,7 @@ class HeartbeatAggregator final : public net::Endpoint {
     obs::TraceContext trace;  ///< context of the consolidated heartbeat
   };
 
-  /// Hard cap on the dense window so a rogue huge id cannot balloon the
-  /// vector; slots past it spill to the overflow map.
-  static constexpr std::uint64_t kMaxDenseSlots = 1ull << 21;
-
-  /// Dense-window cell. Membership in the *current* window is an epoch
+  /// Window cell. Membership in the *current* window is an epoch
   /// stamp, so flush never clears the vector — it bumps `epoch_` and the
   /// whole window is logically empty again.
   struct DenseRecord {
@@ -143,20 +139,15 @@ class HeartbeatAggregator final : public net::Endpoint {
     std::uint64_t epoch = 0;
   };
 
-  [[nodiscard]] std::size_t window_size() const {
-    return touched_.size() + overflow_.size();
-  }
+  [[nodiscard]] std::size_t window_size() const { return touched_.size(); }
 
   std::uint64_t shard_stride_ = 1;
   std::uint64_t shard_phase_ = 0;
   std::uint64_t epoch_ = 1;
-  /// Latest state per dense slot; `touched_` lists this window's live
-  /// slots in arrival order (deterministic flush order without a scan).
+  /// Latest state per slot; `touched_` lists this window's live slots in
+  /// arrival order (deterministic flush order without a scan).
   std::vector<DenseRecord> dense_;
   std::vector<std::uint32_t> touched_;
-  /// Ids outside the shard pattern or past the dense cap; cleared per
-  /// flush like the old hash window.
-  std::unordered_map<std::uint64_t, Record> overflow_;
 
   /// Delta-mode ledger: persistent latest-known state per reporter (the
   /// naive window structures above stay untouched in delta mode).
@@ -168,11 +159,9 @@ class HeartbeatAggregator final : public net::Endpoint {
     bool known = false;
     bool dirty = false;  ///< has an unreported change this window
   };
-  std::vector<LedgerRecord> ledger_;           ///< dense slot -> record
+  std::vector<LedgerRecord> ledger_;           ///< slot -> record
   std::vector<std::uint32_t> ledger_order_;    ///< known slots, first-seen order
   std::vector<std::uint32_t> ledger_dirty_;    ///< dirty slots, arrival order
-  std::unordered_map<std::uint64_t, LedgerRecord> ledger_overflow_;
-  std::vector<std::uint64_t> overflow_dirty_;
   std::uint32_t delta_epoch_ = 0;   ///< wrapping serial of the last frame
   std::uint32_t next_resync_ = 0;   ///< frames until resync; 0 = next is one
   std::uint64_t ledger_members_ = 0;

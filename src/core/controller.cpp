@@ -301,40 +301,24 @@ obs::TraceContext Controller::trace_context(InstanceId id) const {
 
 std::pair<Controller::PnaRecord&, bool> Controller::ensure_pna(
     std::uint64_t id) {
-  if (id < kMaxDensePnas) {
-    if (id >= pna_dense_.size()) pna_dense_.resize(id + 1);
-    PnaRecord& rec = pna_dense_[id];
-    const bool fresh = !rec.known;
-    if (fresh) {
-      rec.known = true;
-      ++pnas_known_;
-    }
-    return {rec, fresh};
-  }
-  const auto [it, fresh] = pna_overflow_.try_emplace(id);
+  if (id >= pna_dense_.size()) pna_dense_.resize(id + 1);
+  PnaRecord& rec = pna_dense_[id];
+  const bool fresh = !rec.known;
   if (fresh) {
-    it->second.known = true;
+    rec.known = true;
     ++pnas_known_;
   }
-  return {it->second, fresh};
+  return {rec, fresh};
 }
 
 const Controller::PnaRecord* Controller::find_pna(std::uint64_t id) const {
-  if (id < kMaxDensePnas) {
-    if (id >= pna_dense_.size() || !pna_dense_[id].known) return nullptr;
-    return &pna_dense_[id];
-  }
-  const auto it = pna_overflow_.find(id);
-  return it == pna_overflow_.end() ? nullptr : &it->second;
+  if (id >= pna_dense_.size() || !pna_dense_[id].known) return nullptr;
+  return &pna_dense_[id];
 }
 
 Controller::PnaRecord* Controller::find_pna_mutable(std::uint64_t id) {
-  if (id < kMaxDensePnas) {
-    if (id >= pna_dense_.size() || !pna_dense_[id].known) return nullptr;
-    return &pna_dense_[id];
-  }
-  const auto it = pna_overflow_.find(id);
-  return it == pna_overflow_.end() ? nullptr : &it->second;
+  if (id >= pna_dense_.size() || !pna_dense_[id].known) return nullptr;
+  return &pna_dense_[id];
 }
 
 std::size_t Controller::idle_pool_estimate() const {
@@ -767,11 +751,7 @@ void Controller::remove_record(std::uint64_t pna_id) {
   }
   if (rec->state == PnaState::kIdle) --idle_known_;
   --pnas_known_;
-  if (pna_id < kMaxDensePnas) {
-    *rec = PnaRecord{};
-  } else {
-    pna_overflow_.erase(pna_id);
-  }
+  *rec = PnaRecord{};
 }
 
 void Controller::request_resync(std::uint32_t origin, OriginState& os) {
@@ -870,7 +850,6 @@ void Controller::crash() {
   // and every instance's membership view. The stable-storage side survives
   // (instance specs, staged carousel content, key, aggregator config).
   pna_dense_.clear();
-  pna_overflow_.clear();
   pnas_known_ = 0;
   idle_known_ = 0;
   members_total_ = 0;

@@ -309,7 +309,7 @@ class Controller final : public net::Endpoint {
 
   struct PnaRecord {
     PnaState state = PnaState::kIdle;
-    /// A dense slot exists for every id below the high-water mark; only
+    /// A slot exists for every id below the highest one heard; only
     /// slots that actually reported are real records.
     bool known = false;
     /// Delta mode: a trim reset was just sent; one in-flight busy report
@@ -329,22 +329,15 @@ class Controller final : public net::Endpoint {
     std::uint32_t resync_mark = 0;
   };
 
-  /// Dense cap for the PNA directory: ids are direct-channel addresses
-  /// (small and contiguous by construction), so the directory is a flat
-  /// vector — 24 bytes per agent instead of a hash node per agent. Huge
-  /// or foreign ids spill to an overflow map.
-  static constexpr std::uint64_t kMaxDensePnas = 1ull << 22;
-
   /// Record for `id`, creating it if unseen. second = newly created.
   std::pair<PnaRecord&, bool> ensure_pna(std::uint64_t id);
   [[nodiscard]] const PnaRecord* find_pna(std::uint64_t id) const;
-  /// Walk every known record (dense then overflow).
+  /// Walk every known record, in id order.
   template <typename Fn>
   void for_each_pna(Fn&& fn) const {
     for (const PnaRecord& rec : pna_dense_) {
       if (rec.known) fn(rec);
     }
-    for (const auto& [id, rec] : pna_overflow_) fn(rec);
   }
 
   struct Instance {
@@ -470,9 +463,10 @@ class Controller final : public net::Endpoint {
   InstanceId next_instance_ = 1;
   std::uint64_t next_image_ = 1;
   std::unordered_map<InstanceId, Instance> instances_;
-  /// PNA directory: dense by id with an overflow map (see kMaxDensePnas).
+  /// PNA directory, a flat table indexed by PNA id. Ids are node ids,
+  /// which the network hands out contiguously, so the table never grows
+  /// past the population — 24 bytes per agent, no hash node per agent.
   std::vector<PnaRecord> pna_dense_;
-  std::unordered_map<std::uint64_t, PnaRecord> pna_overflow_;
   std::size_t pnas_known_ = 0;
   /// Default staleness window for idle-pool estimation (set from the most
   /// recent instance's heartbeat interval; falls back to 30 s).

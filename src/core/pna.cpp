@@ -10,6 +10,9 @@ PnaXlet::PnaXlet(const PnaEnvironment& environment, std::uint64_t seed)
   if (env_->content_store == nullptr) {
     throw std::invalid_argument("PnaXlet: null content store");
   }
+  if (env_->counters == nullptr || env_->acquire_latency == nullptr) {
+    throw std::invalid_argument("PnaXlet: null counters");
+  }
 }
 
 PnaXlet::~PnaXlet() { cancel_heartbeat(); }
@@ -182,10 +185,10 @@ void PnaXlet::acquire_config() {
 }
 
 void PnaXlet::handle_control(const ControlMessage& message, bool authentic) {
-  if (env_->counters != nullptr) ++env_->counters->control_messages_seen;
+  ++env_->counters->control_messages_seen;
   // Accept only messages signed by the associated Controller.
   if (!authentic) {
-    if (env_->counters != nullptr) ++env_->counters->signature_failures;
+    ++env_->counters->signature_failures;
     return;
   }
   set_ctx(&TraceState::control,
@@ -209,7 +212,7 @@ void PnaXlet::handle_control(const ControlMessage& message, bool authentic) {
 void PnaXlet::handle_wakeup(const ControlMessage& message) {
   // Busy PNAs simply drop wakeup messages.
   if (dve_ || joining_) {
-    if (env_->counters != nullptr) ++env_->counters->wakeups_dropped_busy;
+    ++env_->counters->wakeups_dropped_busy;
     trace_emit(obs::TraceEventKind::kWakeupDroppedBusy, ctx(&TraceState::control),
                message.instance);
     return;
@@ -222,9 +225,7 @@ void PnaXlet::handle_wakeup(const ControlMessage& message) {
       (req.min_flash.count() == 0 || profile.flash >= req.min_flash) &&
       (req.device_kind.empty() || req.device_kind == profile.name);
   if (!compliant) {
-    if (env_->counters != nullptr) {
-      ++env_->counters->wakeups_rejected_requirements;
-    }
+    ++env_->counters->wakeups_rejected_requirements;
     trace_emit(obs::TraceEventKind::kWakeupRejectedRequirements,
                ctx(&TraceState::control), message.instance);
     return;
@@ -232,9 +233,7 @@ void PnaXlet::handle_wakeup(const ControlMessage& message) {
   // The probability attribute throttles how many idle PNAs handle the
   // message (instance-size control).
   if (!rng_.bernoulli(message.probability)) {
-    if (env_->counters != nullptr) {
-      ++env_->counters->wakeups_dropped_probability;
-    }
+    ++env_->counters->wakeups_dropped_probability;
     trace_emit(obs::TraceEventKind::kWakeupDroppedProbability, ctx(&TraceState::control),
                message.instance);
     return;
@@ -246,7 +245,7 @@ void PnaXlet::handle_reset(const ControlMessage& message) {
   // A reset targets exactly one instance (a reset for kNoInstance is the
   // Controller's deployment hello and matches nothing).
   if (!member_of(message.instance)) return;
-  if (env_->counters != nullptr) ++env_->counters->resets;
+  ++env_->counters->resets;
   leave_instance();
 }
 
@@ -286,11 +285,9 @@ void PnaXlet::on_image_read(bool ok, const broadcast::CarouselFile& file,
     send_heartbeat();
     return;
   }
-  if (env_->counters != nullptr) ++env_->counters->joins;
-  if (env_->acquire_latency != nullptr) {
-    env_->acquire_latency->record(
-        (context_->simulation().now() - join_started_at_).seconds());
-  }
+  ++env_->counters->joins;
+  env_->acquire_latency->record(
+      (context_->simulation().now() - join_started_at_).seconds());
   set_ctx(&TraceState::join,
           trace_emit(obs::TraceEventKind::kImageAcquired, ctx(&TraceState::join),
                      instance));
@@ -362,7 +359,7 @@ void PnaXlet::send_heartbeat() {
   // one (the slot transmits the state current at release time, so nothing
   // is lost — only the redundant intermediate report).
   if (pace_pending_) {
-    if (env_->counters != nullptr) ++env_->counters->heartbeats_paced;
+    ++env_->counters->heartbeats_paced;
     return;
   }
   pace_pending_ = true;
@@ -392,7 +389,7 @@ void PnaXlet::send_heartbeat() {
 
 void PnaXlet::send_heartbeat_now() {
   if (!started_ || heartbeat_target_ == net::kInvalidNode) return;
-  if (env_->counters != nullptr) ++env_->counters->heartbeats_sent;
+  ++env_->counters->heartbeats_sent;
   // Heartbeats chain off the join in progress when there is one (they are
   // what confirms membership) and off the last control receipt otherwise.
   const obs::TraceContext parent =
@@ -485,7 +482,7 @@ void PnaXlet::on_direct_message(net::NodeId /*from*/,
           static_cast<const HeartbeatReplyMessage&>(*message);
       if (reply.command() == HeartbeatCommand::kReset &&
           member_of(reply.instance())) {
-        if (env_->counters != nullptr) ++env_->counters->resets;
+        ++env_->counters->resets;
         leave_instance();
       }
       break;
@@ -551,7 +548,7 @@ void PnaXlet::start_task(const TaskAssignMessage& assign) {
     // garbage immediately — to the Backend it looks like an absurdly fast
     // completion; only the digest (and the spot-check record) gives it
     // away.
-    if (env_->counters != nullptr) ++env_->counters->results_freeridden;
+    ++env_->counters->results_freeridden;
     finish_task(task_index, result_size, instance, digest, replica,
                 assign.trace());
     return;
@@ -568,9 +565,7 @@ void PnaXlet::start_task(const TaskAssignMessage& assign) {
         running_exec_ = 0;
         task_running_ = false;
         if (!dve_ || dve_->instance() != instance) return;
-        if (forged && env_->counters != nullptr) {
-          ++env_->counters->results_forged;
-        }
+        if (forged) ++env_->counters->results_forged;
         const obs::TraceContext parent = ctx(&TraceState::running_task);
         set_ctx(&TraceState::running_task, {});
         finish_task(task_index, result_size, instance, digest, replica,
@@ -581,7 +576,7 @@ void PnaXlet::start_task(const TaskAssignMessage& assign) {
 void PnaXlet::finish_task(std::uint64_t task_index, util::Bits result_size,
                           InstanceId instance, std::uint64_t digest,
                           std::uint32_t replica, obs::TraceContext parent) {
-  if (env_->counters != nullptr) ++env_->counters->tasks_completed;
+  ++env_->counters->tasks_completed;
   dve_->record_task_completed();
   const obs::TraceContext done =
       trace_emit(obs::TraceEventKind::kTaskExecuted, parent, task_index);

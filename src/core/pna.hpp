@@ -34,12 +34,12 @@ struct PnaEnvironment {
   /// Retry period for polling the Backend after a NoTask reply.
   sim::SimTime task_poll_interval = sim::SimTime::from_seconds(10);
 
-  /// Counters shared by every agent on one kernel shard (nullable:
-  /// standalone agents run uninstrumented). Agents keep no per-agent
-  /// counters of their own.
+  /// Counters shared by every agent on one kernel shard (required, as
+  /// the content store is). Agents keep no per-agent counters of their
+  /// own.
   obs::PnaCounters* counters = nullptr;
   /// Wakeup accept -> image acquired, across the shard's agents
-  /// (nullable).
+  /// (required).
   obs::LogHistogram* acquire_latency = nullptr;
   /// Causal flight recorder shared by the shard's agents (nullable:
   /// tracing off). Agents emit receipt/decision/heartbeat/task events and carry

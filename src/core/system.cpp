@@ -347,6 +347,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
   for (Shard& shard : shards_) {
     shard.env = env;
+    shard.env.counters = &shard.counters;
+    shard.env.acquire_latency = &shard.acquire_latency;
     shard.loss_rng = util::Random(loss_seeds.next());
     if (config_.fanout_fast_path) {
       shard.verify_cache = std::make_unique<broadcast::VerifyCache>();
@@ -382,11 +384,13 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   pna_seeds_.reserve(config_.receivers);
   const std::size_t A = config_.aggregators;
   for (std::size_t i = 0; i < config_.receivers; ++i) {
-    // Placement follows the heartbeat routing: receiver i's pna id is its
-    // node id (A + 2 + i), so it homes on aggregator (2 + i) % A, which
-    // lives on shard ((2 + i) % A) % K — the per-heartbeat hop never
-    // crosses a shard boundary. With no aggregation tier, round-robin.
-    const std::size_t s = A > 0 ? ((2 + i) % A) % K : i % K;
+    // Placement follows the heartbeat routing: a receiver's pna id is the
+    // node id it is about to get (the next endpoint), so it homes on
+    // aggregator id % A, which lives on shard (id % A) % K — the
+    // per-heartbeat hop never crosses a shard boundary. With no
+    // aggregation tier, round-robin.
+    const std::size_t s =
+        A > 0 ? (network_->endpoint_count() % A) % K : i % K;
     network_->set_register_shard(static_cast<std::uint32_t>(s));
     auto receiver = std::make_unique<dtv::Receiver>(
         sharded_->shard(s), *network_, config_.profile, stb_link);
@@ -462,9 +466,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     const std::uint64_t fseed = config_.fault.seed != 0
                                     ? config_.fault.seed
                                     : (config_.seed ^ 0x0DDC1FA17ull);
-    injector_ = std::make_unique<fault::FaultInjector>(*simulation_,
+    injector_ = std::make_unique<fault::FaultInjector>(*sharded_,
                                                        config_.fault, fseed);
-    injector_->set_sharded(sharded_.get());
     injector_->set_tracked_tag(static_cast<int>(kTagHeartbeat));
     network_->set_interposer(injector_.get());
     injector_->set_controller_hooks([this] { controller_->crash(); },
@@ -594,11 +597,7 @@ void OddciSystem::wire_observability() {
   }
   std::vector<const obs::LogHistogram*> hists;
   hists.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    hists.push_back(&shard.acquire_latency);
-    shard.env.counters = &shard.counters;
-    shard.env.acquire_latency = &shard.acquire_latency;
-  }
+  for (const Shard& shard : shards_) hists.push_back(&shard.acquire_latency);
   registry_->link_histogram_set("pna.acquire_latency_seconds",
                                 std::move(hists));
   broadcast_counters_.link(*registry_);
@@ -695,8 +694,7 @@ void OddciSystem::wire_observability() {
   obs::Sampler::Options sopts;
   sopts.interval = config_.obs.sample_interval;
   sopts.max_points = config_.obs.max_series_points;
-  sampler_ = std::make_unique<obs::Sampler>(*simulation_, *registry_, sopts);
-  sampler_->set_sharded(sharded_.get());
+  sampler_ = std::make_unique<obs::Sampler>(*sharded_, *registry_, sopts);
   sampler_->add_gauge_series("series.instance_size", [this] {
     return static_cast<double>(controller_->total_member_count());
   });

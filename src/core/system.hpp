@@ -329,9 +329,8 @@ class OddciSystem {
   /// (empty) when no profiler is attached. Call between runs.
   [[nodiscard]] obs::ProfileSnapshot profile_snapshot() const;
 
-  /// Conservation ledger over the current counters (see obs/health.hpp).
-  /// Heartbeat/pool balances need the obs counter wiring, so call only
-  /// with SystemConfig::obs.enabled; the auditor and tests use this.
+  /// Conservation ledger over the current counters (see obs/health.hpp);
+  /// the auditor and tests use this.
   [[nodiscard]] obs::HealthLedger health_ledger() const;
 
   /// Shard 0's fan-out fast-path components; nullptr when

@@ -81,14 +81,23 @@ void FaultOptions::validate() const {
   }
 }
 
-FaultInjector::FaultInjector(sim::Simulation& simulation,
+FaultInjector::FaultInjector(sim::ShardedSimulation& sharded,
                              const FaultOptions& options, std::uint64_t seed)
-    : simulation_(simulation),
+    : sharded_(sharded),
       options_(options),
       rng_(seed),
       plan_rng_(rng_.split()),
-      wire_rng_(rng_.split()) {
+      wire_shards_(sharded.shard_count()) {
   options_.validate();
+  // One verdict stream per shard, so one shard's traffic never perturbs
+  // another's draws. A lone shard draws the wire stream itself, the stream
+  // every single-shard fault replay was pinned with; several split it.
+  util::Random wire_rng = rng_.split();
+  for (std::size_t s = 0; s < wire_shards_.size(); ++s) {
+    wire_shards_[s].rng =
+        wire_shards_.size() == 1 ? wire_rng : wire_rng.split();
+    wire_shards_[s].sim = &sharded_.shard(s);
+  }
 }
 
 void FaultInjector::set_controller_hooks(Hook crash, Hook restart) {
@@ -115,26 +124,8 @@ void FaultInjector::add_region(net::NodeId aggregator_node, Hook crash,
 
 void FaultInjector::set_pna_fault(PnaFaultFn fn) { pna_fault_ = std::move(fn); }
 
-void FaultInjector::set_sharded(sim::ShardedSimulation* sharded) {
-  if (started_) {
-    throw std::logic_error("set_sharded after FaultInjector::start");
-  }
-  sharded_ = sharded;
-  wire_shards_.clear();
-  if (sharded_ == nullptr || sharded_->shard_count() <= 1) return;
-  wire_shards_.resize(sharded_->shard_count());
-  for (std::size_t s = 0; s < wire_shards_.size(); ++s) {
-    // Independent verdict stream per shard, split deterministically from
-    // the injector seed: one shard's traffic never perturbs another's
-    // draws, so any fixed shard count replays byte-identically.
-    wire_shards_[s].rng = wire_rng_.split();
-    wire_shards_[s].sim = &sharded_->shard(s);
-  }
-}
-
 void FaultInjector::set_shard_recorder(std::size_t shard,
                                        obs::FlightRecorder* recorder) {
-  if (!sharded_wire()) return;
   if (shard >= wire_shards_.size()) {
     throw std::out_of_range("FaultInjector: shard recorder index");
   }
@@ -142,17 +133,13 @@ void FaultInjector::set_shard_recorder(std::size_t shard,
 }
 
 void FaultInjector::plan_at(sim::SimTime at, std::function<void()> fn) {
-  if (sharded_ != nullptr && sharded_->shard_count() > 1) {
-    // Global tasks run on the coordinator with every shard parked, which
-    // is what makes blackholed_/regions_ writes visible to all wire paths.
-    sharded_->post_global(0, at, std::move(fn));
-    return;
-  }
-  simulation_.schedule_at(at, std::move(fn));
+  // Global tasks run with every shard parked, which is what makes
+  // blackholed_/regions_ writes visible to all wire paths.
+  sharded_.post_global(0, at, std::move(fn));
 }
 
 void FaultInjector::plan_in(sim::SimTime delay, std::function<void()> fn) {
-  plan_at(simulation_.now() + delay, std::move(fn));
+  plan_at(sharded_.now() + delay, std::move(fn));
 }
 
 void FaultInjector::set_control_corruptor(std::function<bool()> corrupt,
@@ -162,35 +149,16 @@ void FaultInjector::set_control_corruptor(std::function<bool()> corrupt,
 }
 
 void FaultInjector::link_metrics(obs::MetricsRegistry& registry) const {
-  if (sharded_wire()) {
-    // Per-shard wire counters merged at snapshot time (call after
-    // set_sharded; reads happen between windows, so no synchronization).
-    registry.link_counter_fn("fault.messages_lost", [this] {
-      std::uint64_t total = messages_lost_.value();
-      for (const WireShard& w : wire_shards_) total += w.lost;
-      return total;
-    });
-    registry.link_counter_fn("fault.messages_duplicated", [this] {
-      std::uint64_t total = messages_duplicated_.value();
-      for (const WireShard& w : wire_shards_) total += w.duplicated;
-      return total;
-    });
-    registry.link_counter_fn("fault.latency_spikes", [this] {
-      std::uint64_t total = latency_spikes_.value();
-      for (const WireShard& w : wire_shards_) total += w.spikes;
-      return total;
-    });
-    registry.link_counter_fn("fault.partition_dropped", [this] {
-      std::uint64_t total = partition_dropped_.value();
-      for (const WireShard& w : wire_shards_) total += w.partition_dropped;
-      return total;
-    });
-  } else {
-    registry.link_counter("fault.messages_lost", messages_lost_);
-    registry.link_counter("fault.messages_duplicated", messages_duplicated_);
-    registry.link_counter("fault.latency_spikes", latency_spikes_);
-    registry.link_counter("fault.partition_dropped", partition_dropped_);
-  }
+  // Per-shard wire counters merged at snapshot time (reads happen between
+  // windows, so no synchronization).
+  registry.link_counter_fn("fault.messages_lost",
+                           [this] { return stats().messages_lost; });
+  registry.link_counter_fn("fault.messages_duplicated",
+                           [this] { return stats().messages_duplicated; });
+  registry.link_counter_fn("fault.latency_spikes",
+                           [this] { return stats().latency_spikes; });
+  registry.link_counter_fn("fault.partition_dropped",
+                           [this] { return stats().partition_dropped; });
   registry.link_counter("fault.partitions_started", partitions_started_);
   registry.link_counter("fault.partitions_healed", partitions_healed_);
   registry.link_counter("fault.controller_crashes", controller_crashes_);
@@ -206,7 +174,7 @@ void FaultInjector::start() {
   started_ = true;
 
   for (const sim::SimTime at : options_.controller_crash_at) {
-    if (at <= simulation_.now()) continue;
+    if (at <= sharded_.now()) continue;
     plan_at(at, [this] {
       if (!controller_crash_) return;
       ++controller_crashes_;
@@ -221,7 +189,7 @@ void FaultInjector::start() {
     });
   }
   for (const sim::SimTime at : options_.backend_crash_at) {
-    if (at <= simulation_.now()) continue;
+    if (at <= sharded_.now()) continue;
     plan_at(at, [this] {
       if (!backend_crash_) return;
       ++backend_crashes_;
@@ -339,12 +307,6 @@ void FaultInjector::fire_corruption() {
 
 FaultInjector::Stats FaultInjector::stats() const {
   Stats s;
-  s.messages_lost = messages_lost_.value();
-  s.messages_duplicated = messages_duplicated_.value();
-  s.latency_spikes = latency_spikes_.value();
-  s.partition_dropped = partition_dropped_.value();
-  s.tracked_lost = tracked_lost_.value();
-  s.tracked_duplicated = tracked_duplicated_.value();
   for (const WireShard& wire : wire_shards_) {
     s.messages_lost += wire.lost;
     s.messages_duplicated += wire.duplicated;
@@ -367,60 +329,15 @@ FaultInjector::Stats FaultInjector::stats() const {
 net::SendInterposer::Action FaultInjector::on_send(
     net::NodeId from, net::NodeId to, const net::Message& message,
     std::size_t src_shard) {
-  if (sharded_wire()) {
-    return on_send_sharded(from, to, message, src_shard);
-  }
+  // Every mutable touch — RNG draws, counters, trace emission, even the
+  // clock read — belongs to the source shard; blackholed_ and
+  // active_partitions_ are only *read* here (they mutate exclusively in
+  // plan events, with every shard parked).
   Action action;
+  WireShard& wire = wire_shards_[src_shard];
   // A partitioned region is a hard black hole: nothing in or out. This
   // draws nothing from the wire stream, so healing a partition rejoins the
   // deterministic per-message draw sequence unchanged.
-  if (active_partitions_ != 0 && (blackholed(from) || blackholed(to))) {
-    action.drop = true;
-    ++partition_dropped_;
-    if (tracked(message)) ++tracked_lost_;
-    emit(obs::TraceEventKind::kFaultMessageLost, obs::TraceComponent::kNetwork,
-         to, static_cast<std::uint64_t>(message.tag()));
-    return action;
-  }
-  // One fixed draw order per message; a lost message short-circuits so the
-  // duplication/spike draws stay aligned across replays.
-  if (options_.message_loss > 0.0 && wire_rng_.bernoulli(options_.message_loss)) {
-    action.drop = true;
-    ++messages_lost_;
-    if (tracked(message)) ++tracked_lost_;
-    emit(obs::TraceEventKind::kFaultMessageLost, obs::TraceComponent::kNetwork,
-         to, static_cast<std::uint64_t>(message.tag()));
-    return action;
-  }
-  if (options_.message_duplication > 0.0 &&
-      wire_rng_.bernoulli(options_.message_duplication)) {
-    action.duplicate = true;
-    ++messages_duplicated_;
-    if (tracked(message)) ++tracked_duplicated_;
-    emit(obs::TraceEventKind::kFaultMessageDuplicated,
-         obs::TraceComponent::kNetwork, to,
-         static_cast<std::uint64_t>(message.tag()));
-  }
-  if (options_.latency_spike_probability > 0.0 &&
-      wire_rng_.bernoulli(options_.latency_spike_probability)) {
-    action.extra_latency = sim::SimTime::from_seconds(
-        wire_rng_.exponential(options_.latency_spike_mean.seconds()));
-    ++latency_spikes_;
-    emit(obs::TraceEventKind::kFaultLatencySpike, obs::TraceComponent::kNetwork,
-         to, static_cast<std::uint64_t>(action.extra_latency.micros()));
-  }
-  return action;
-}
-
-net::SendInterposer::Action FaultInjector::on_send_sharded(
-    net::NodeId from, net::NodeId to, const net::Message& message,
-    std::size_t src_shard) {
-  // Same verdict sequence as the classic path, but every mutable touch —
-  // RNG draws, counters, trace emission, even the clock read — belongs to
-  // the source shard; blackholed_/active_partitions_ are only *read* here
-  // (they mutate exclusively at window boundaries via plan events).
-  Action action;
-  WireShard& wire = wire_shards_[src_shard];
   if (active_partitions_ != 0 && (blackholed(from) || blackholed(to))) {
     action.drop = true;
     ++wire.partition_dropped;
@@ -429,6 +346,8 @@ net::SendInterposer::Action FaultInjector::on_send_sharded(
               static_cast<std::uint64_t>(message.tag()));
     return action;
   }
+  // One fixed draw order per message; a lost message short-circuits so the
+  // duplication/spike draws stay aligned across replays.
   if (options_.message_loss > 0.0 &&
       wire.rng.bernoulli(options_.message_loss)) {
     action.drop = true;
@@ -461,7 +380,7 @@ void FaultInjector::emit(obs::TraceEventKind kind,
                          obs::TraceComponent component, std::uint64_t actor,
                          std::uint64_t arg) {
   if (recorder_ == nullptr) return;
-  recorder_->emit(simulation_.now(), kind, component, {}, actor, arg);
+  recorder_->emit(sharded_.now(), kind, component, {}, actor, arg);
 }
 
 void FaultInjector::emit_wire(std::size_t shard, obs::TraceEventKind kind,

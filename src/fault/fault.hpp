@@ -27,7 +27,7 @@
 ///  * the *plan* stream draws Poisson interarrival gaps and victim picks
 ///    for scheduled faults (partitions, crashes, hangs, corruption);
 ///  * the *wire* stream draws the per-message loss/duplication/latency
-///    verdicts inside `net::Network::send`.
+///    verdicts inside `net::Network::send`, one stream per kernel shard.
 /// Splitting them keeps message-level noise from perturbing the schedule
 /// of the big structural faults.
 namespace oddci::fault {
@@ -103,10 +103,15 @@ struct FaultOptions {
   void validate() const;
 };
 
-/// Seeded fault driver. Owns the fault plan (scheduled as ordinary sim
-/// events) and interposes on every direct-channel send; the actual
-/// crash/restart mechanics live in the components and are reached through
-/// registered hooks, so the injector never includes core headers.
+/// Seeded fault driver. Owns the fault plan and interposes on every
+/// direct-channel send; the actual crash/restart mechanics live in the
+/// components and are reached through registered hooks, so the injector
+/// never includes core headers.
+///
+/// Plan events run as global tasks of the sharded kernel: with every
+/// shard parked, so partition state mutates race-free, and at the start
+/// of their instant. Each shard has its own wire stream, counters and
+/// recorder, so per-message verdicts never contend across threads.
 class FaultInjector final : public net::SendInterposer {
  public:
   using Hook = std::function<void()>;
@@ -116,7 +121,10 @@ class FaultInjector final : public net::SendInterposer {
   using PnaFaultFn =
       std::function<bool(std::uint64_t pick, bool hang, sim::SimTime duration)>;
 
-  FaultInjector(sim::Simulation& simulation, const FaultOptions& options,
+  /// Call before any send is interposed. A lone shard draws its verdicts
+  /// from the injector's wire stream itself; several shards split it, one
+  /// stream each, so any fixed shard count replays byte-identically.
+  FaultInjector(sim::ShardedSimulation& sharded, const FaultOptions& options,
                 std::uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -133,21 +141,12 @@ class FaultInjector final : public net::SendInterposer {
   void set_control_corruptor(std::function<bool()> corrupt,
                              std::function<void()> restore);
 
-  /// Attach a flight recorder: every injected fault is emitted as a
-  /// fault.* trace event. nullptr detaches.
+  /// Attach a flight recorder for plan-level faults, emitted as fault.*
+  /// trace events. nullptr detaches.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
-  /// Attach the sharded kernel (call before start() and before any send is
-  /// interposed). With more than one shard the plan runs as global tasks at
-  /// window boundaries — every shard parked, so partition state mutates
-  /// race-free — and each shard gets its own wire stream and counters so
-  /// per-message verdicts never contend across threads.
-  void set_sharded(sim::ShardedSimulation* sharded);
-
   /// Wire-fault trace events for sends originating on `shard` go to this
-  /// recorder (plan-level faults still use set_recorder's). Call after
-  /// set_sharded. With a single shard the one unsplit wire stream reports
-  /// through set_recorder's recorder and this does nothing.
+  /// recorder. nullptr detaches.
   void set_shard_recorder(std::size_t shard, obs::FlightRecorder* recorder);
 
   /// Expose the fault.* counters in `registry`. The injector must outlive
@@ -230,33 +229,25 @@ class FaultInjector final : public net::SendInterposer {
   /// interarrival gaps of mean 3600/per_hour seconds, forever.
   void arm_poisson(double per_hour, std::function<void()> action);
 
-  /// Plan-event scheduling: classic kernel timers at K = 1, coordinator
-  /// global tasks (all shards parked) under the sharded kernel.
+  /// Plan-event scheduling: global tasks, run with every shard parked.
   void plan_at(sim::SimTime at, std::function<void()> fn);
   void plan_in(sim::SimTime delay, std::function<void()> fn);
-  [[nodiscard]] bool sharded_wire() const { return !wire_shards_.empty(); }
 
   void start_partition();
   void crash_aggregator();
   void fire_pna(bool hang);
   void fire_corruption();
 
-  [[nodiscard]] Action on_send_sharded(net::NodeId from, net::NodeId to,
-                                       const net::Message& message,
-                                       std::size_t src_shard);
-
   void emit(obs::TraceEventKind kind, obs::TraceComponent component,
             std::uint64_t actor, std::uint64_t arg);
   void emit_wire(std::size_t shard, obs::TraceEventKind kind,
                  std::uint64_t actor, std::uint64_t arg);
 
-  sim::Simulation& simulation_;
+  sim::ShardedSimulation& sharded_;
   FaultOptions options_;
   util::Random rng_;
   util::Random plan_rng_;
-  util::Random wire_rng_;
-  sim::ShardedSimulation* sharded_ = nullptr;
-  /// Non-empty exactly when the kernel has >1 shard.
+  /// One per kernel shard.
   std::vector<WireShard> wire_shards_;
 
   Hook controller_crash_;
@@ -275,13 +266,7 @@ class FaultInjector final : public net::SendInterposer {
   bool started_ = false;
 
   int tracked_tag_ = -1;
-  obs::Counter tracked_lost_;
-  obs::Counter tracked_duplicated_;
 
-  obs::Counter messages_lost_;
-  obs::Counter messages_duplicated_;
-  obs::Counter latency_spikes_;
-  obs::Counter partition_dropped_;
   obs::Counter partitions_started_;
   obs::Counter partitions_healed_;
   obs::Counter controller_crashes_;

@@ -13,12 +13,12 @@ void Sampler::Options::validate() const {
   }
 }
 
-Sampler::Sampler(sim::Simulation& simulation, MetricsRegistry& registry)
-    : Sampler(simulation, registry, Options{}) {}
+Sampler::Sampler(sim::ShardedSimulation& sharded, MetricsRegistry& registry)
+    : Sampler(sharded, registry, Options{}) {}
 
-Sampler::Sampler(sim::Simulation& simulation, MetricsRegistry& registry,
+Sampler::Sampler(sim::ShardedSimulation& sharded, MetricsRegistry& registry,
                  Options options)
-    : simulation_(simulation), registry_(registry), options_(options) {
+    : sharded_(sharded), registry_(registry), options_(options) {
   options_.validate();
 }
 
@@ -46,38 +46,31 @@ void Sampler::add_rate_series(std::string_view name,
 void Sampler::start() {
   if (running_) return;
   running_ = true;
-  if (sharded_ != nullptr && sharded_->shard_count() > 1) {
-    // Tick on the coordinator at window boundaries so probes may read
-    // cross-shard state with every worker parked. The requested times
-    // stay on the interval grid; each actually fires at the first
-    // boundary >= its slot, which is deterministic for a fixed K.
-    next_tick_at_ = simulation_.now() + options_.interval;
-    schedule_global_tick();
-    return;
-  }
-  task_ = sim::PeriodicTask(simulation_,
-                            simulation_.now() + options_.interval,
-                            options_.interval, [this] { tick(); });
+  // The requested times stay on the interval grid; each tick fires at the
+  // first window boundary >= its slot, which is deterministic for a fixed
+  // K (a lone shard has a boundary at every instant).
+  next_tick_at_ = sharded_.now() + options_.interval;
+  schedule_tick();
 }
 
-void Sampler::schedule_global_tick() {
-  sharded_->post_global(0, next_tick_at_, [this] {
-    if (!running_) return;
+void Sampler::schedule_tick() {
+  sharded_.post_global(0, next_tick_at_, [this, generation = generation_] {
+    if (generation != generation_) return;  // stopped since
     tick();
     next_tick_at_ = next_tick_at_ + options_.interval;
-    schedule_global_tick();
+    schedule_tick();
   });
 }
 
 void Sampler::stop() {
   if (!running_) return;
-  task_.cancel();
   running_ = false;
+  ++generation_;
 }
 
 void Sampler::tick() {
   ++ticks_;
-  const double now = simulation_.now().seconds();
+  const double now = sharded_.now().seconds();
   for (auto& probe : gauges_) {
     probe.series->record(now, probe.fn());
   }

@@ -7,13 +7,14 @@
 
 #include "obs/metrics.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulation.hpp"
 
-/// Sim-time sampler: a `PeriodicTask` on the timer wheel that reads a set
-/// of probes every `interval` of simulated time and appends the values to
-/// named `TimeSeries` in the registry. Probes are registered once, before
-/// start(); each tick is a plain loop over preallocated closures — no
-/// allocation, no RNG, so two runs of the same seeded scenario produce
+/// Sim-time sampler: a chain of global tasks on the sharded kernel that
+/// reads a set of probes every `interval` of simulated time and appends
+/// the values to named `TimeSeries` in the registry. Each tick runs with
+/// every shard parked (at the start of its instant on a lone shard), so
+/// probes may read state spanning shards. Probes are registered once,
+/// before start(); each tick is a plain loop over preallocated closures —
+/// no allocation, no RNG, so two runs of the same seeded scenario produce
 /// bit-identical series.
 namespace oddci::obs {
 
@@ -26,8 +27,9 @@ class Sampler {
     void validate() const;
   };
 
-  Sampler(sim::Simulation& simulation, MetricsRegistry& registry);
-  Sampler(sim::Simulation& simulation, MetricsRegistry& registry,
+  /// The sampler must outlive the kernel's run loop.
+  Sampler(sim::ShardedSimulation& sharded, MetricsRegistry& registry);
+  Sampler(sim::ShardedSimulation& sharded, MetricsRegistry& registry,
           Options options);
   ~Sampler();
 
@@ -44,20 +46,13 @@ class Sampler {
                        std::function<std::uint64_t()> fn);
 
   /// Side hook invoked after the probes at every tick — the system hangs
-  /// periodic health audits here, reusing the sampler's coordinator-safe
-  /// tick points (all shards parked under the sharded kernel). The hook
-  /// must not schedule events or mutate sim state. Call before start();
-  /// null disables.
+  /// periodic health audits here, reusing the sampler's tick points (all
+  /// shards parked). The hook must not schedule events or mutate sim
+  /// state. Call before start(); null disables.
   void set_on_tick(std::function<void()> hook) { on_tick_ = std::move(hook); }
 
-  /// Drive ticks through the sharded kernel's global-task queue instead of
-  /// a shard-local timer: each tick runs on the coordinator at a window
-  /// boundary, with every shard parked, so probes may read state spanning
-  /// shards. No-op with a single shard (the PeriodicTask path is used).
-  /// Call before start(); the sampler must outlive the kernel's run loop.
-  void set_sharded(sim::ShardedSimulation* sharded) { sharded_ = sharded; }
-
-  /// First tick fires one interval from now.
+  /// First tick is due one interval from now; each fires at the first
+  /// window boundary at or after its slot on the interval grid.
   void start();
   void stop();
   [[nodiscard]] bool running() const { return running_; }
@@ -77,18 +72,19 @@ class Sampler {
     std::uint64_t last = 0;
   };
 
-  void schedule_global_tick();
+  void schedule_tick();
 
-  sim::Simulation& simulation_;
+  sim::ShardedSimulation& sharded_;
   MetricsRegistry& registry_;
   Options options_;
   std::vector<GaugeProbe> gauges_;
   std::vector<RateProbe> rates_;
   std::function<void()> on_tick_;
-  sim::PeriodicTask task_;
-  sim::ShardedSimulation* sharded_ = nullptr;
   sim::SimTime next_tick_at_;
   bool running_ = false;
+  /// Bumped by stop(): a tick still queued from before a stop() finds a
+  /// stale generation and ends its chain, so a restart never doubles up.
+  std::uint64_t generation_ = 0;
   std::uint64_t ticks_ = 0;
 };
 

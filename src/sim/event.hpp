@@ -26,13 +26,16 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Priorities for same-timestamp ordering. Network deliveries run before
 /// periodic timers so state observed by timers is up to date. `kInternal`
 /// is reserved for kernel bookkeeping (timer-wheel cascade events) which
-/// must run before any user event at the same timestamp.
+/// must run before any user event at the same timestamp. `kGlobal` is a
+/// lone shard's global task (ShardedSimulation::post_global): it runs at
+/// the start of its instant, as a global task at a window boundary runs
+/// before that boundary's events under several shards.
 enum class EventPriority : int {
   kInternal = -100,
+  kGlobal = -50,
   kDelivery = 0,
   kDefault = 10,
   kTimer = 20,
-  kMonitor = 30,
 };
 
 class EventFn {

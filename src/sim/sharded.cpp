@@ -116,11 +116,11 @@ void ShardedSimulation::post_global(std::size_t src, SimTime at, EventFn fn) {
   if (shards_.size() == 1) {
     Simulation& s = *shards_[0];
     s.schedule_at(std::max(at, s.now()), std::move(fn),
-                  EventPriority::kMonitor);
+                  EventPriority::kGlobal);
     return;
   }
   global_boxes_[src].items.push_back(
-      Mail{at, std::move(fn), EventPriority::kMonitor});
+      Mail{at, std::move(fn), EventPriority::kGlobal});
 }
 
 void ShardedSimulation::set_profiler(obs::KernelProfiler* profiler) {

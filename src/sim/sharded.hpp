@@ -27,7 +27,8 @@
 ///
 /// Determinism contract (see DESIGN.md "Sharded kernel"):
 ///  * K = 1 takes a direct delegation path (no threads, no windows, no
-///    mail) and is event-trajectory-identical to the pre-sharding kernel;
+///    mail); its global tasks run at the start of their instant, as they
+///    do at a window boundary under several shards;
 ///  * for fixed K > 1, two same-seed runs produce identical trajectories,
 ///    metrics and traces; different K may (and generally do) differ,
 ///    because cross-shard deliveries are clamped to window boundaries.
@@ -93,7 +94,9 @@ class ShardedSimulation {
   /// state spanning shards (samplers, fault plans, deferred removals).
   /// Same calling rule as post(): from the thread running shard `src`.
   /// Tasks due at one boundary run in (source shard, send sequence)
-  /// order; with K = 1 this is schedule_at(max(at, now)) on the shard.
+  /// order, before the boundary's own events. With K = 1 this is
+  /// schedule_at(max(at, now)) on the shard at EventPriority::kGlobal, so
+  /// the task likewise runs at the start of its instant.
   void post_global(std::size_t src, SimTime at, EventFn fn);
 
   /// Advance every shard to `t` (events at exactly `t` run, as in

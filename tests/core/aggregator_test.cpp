@@ -122,6 +122,22 @@ TEST_F(AggregatorTest, ReportWireSizeScalesWithEntries) {
   EXPECT_LT(big.wire_size().count(), 100 * hb.wire_size().count());
 }
 
+// Agents pick aggregators[pna_id % A] and a failed-over slot re-homes its
+// agents to the Controller, so a heartbeat from outside the shard is a
+// routing bug, not a case to absorb.
+TEST_F(AggregatorTest, HeartbeatFromOutsideTheShardThrows) {
+  HeartbeatAggregator agg(sim, net, controller_id,
+                          {kMbps(1000), kMbps(1000), sim::SimTime::zero()},
+                          options);
+  agg.set_shard(4, 1);
+  BeatSource src(net);
+  src.beat(agg.node_id(), 5, PnaState::kIdle, kNoInstance);  // 5 % 4 == 1
+  sim.run_until(sim::SimTime::from_seconds(1));
+  EXPECT_EQ(agg.stats().heartbeats_received, 1u);
+  src.beat(agg.node_id(), 6, PnaState::kIdle, kNoInstance);
+  EXPECT_THROW(sim.run_until(sim::SimTime::from_seconds(2)), std::logic_error);
+}
+
 TEST_F(AggregatorTest, OptionValidation) {
   AggregatorOptions bad;
   bad.report_interval = sim::SimTime::zero();

@@ -124,6 +124,7 @@ class PnaLiveness
   Sink controller{net};
   ScriptedBackend backend{net};
   obs::PnaCounters counters;
+  obs::LogHistogram acquire_latency{1e-3};
   PnaEnvironment::Recovery recovery;
   PnaEnvironment env;
   dtv::XletRegistry registry;
@@ -133,6 +134,7 @@ class PnaLiveness
     env.content_store = &store;
     env.trusted_key = kKey;
     env.counters = &counters;
+    env.acquire_latency = &acquire_latency;
     env.task_poll_interval = sim::SimTime::from_seconds(20);
     registry.register_factory("oddci-pna", [this](dtv::Receiver&) {
       return std::make_unique<PnaXlet>(env, /*seed=*/77);

@@ -100,12 +100,14 @@ struct PnaTest : ::testing::Test {
   FakeBackend backend{sim, net, /*tasks=*/3};
   PnaEnvironment env;
   obs::PnaCounters counters;
+  obs::LogHistogram acquire_latency{1e-3};
   dtv::XletRegistry registry;
   std::unique_ptr<dtv::Receiver> receiver;
 
   void SetUp() override {
     env.content_store = &store;
     env.counters = &counters;
+    env.acquire_latency = &acquire_latency;
     env.trusted_key = kKey;
     env.task_poll_interval = sim::SimTime::from_seconds(5);
 
@@ -305,6 +307,15 @@ TEST_F(PnaTest, PowerOffDestroysXlet) {
 TEST_F(PnaTest, NullContentStoreRejected) {
   PnaEnvironment bad;
   bad.content_store = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+}
+
+TEST_F(PnaTest, EnvironmentWithoutCountersRejected) {
+  PnaEnvironment bad = env;
+  bad.counters = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  bad = env;
+  bad.acquire_latency = nullptr;
   EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
 }
 

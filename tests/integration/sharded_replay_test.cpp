@@ -168,6 +168,40 @@ TEST(ShardedReplay, ChurningPopulationOnTwoShardsIsByteIdentical) {
   EXPECT_TRUE(first.completed);
 }
 
+// Receivers home on the shard of the aggregator they heartbeat to,
+// aggregators[node id % A], also when a relay tier registers ahead of
+// them and shifts every receiver's node id by the relay count. These
+// relay counts (2, 4, 2) are not multiples of K.
+TEST(ShardedReplay, ReceiversShareTheirAggregatorsShardUnderARelayTier) {
+  struct Shape {
+    std::size_t aggregators, tree_fanin, shards;
+  };
+  for (const Shape shape : {Shape{16, 8, 4}, Shape{16, 4, 8}, Shape{8, 4, 4}}) {
+    SCOPED_TRACE("A" + std::to_string(shape.aggregators) + " fanin" +
+                 std::to_string(shape.tree_fanin) + " K" +
+                 std::to_string(shape.shards));
+    SystemConfig config = scenario(shape.shards);
+    config.receivers = 400;
+    config.aggregators = shape.aggregators;
+    config.heartbeat.mode = HeartbeatMode::kDelta;
+    config.heartbeat.tree_fanin = shape.tree_fanin;
+    config.obs.enabled = false;
+    config.obs.trace = false;
+    OddciSystem system(config);
+    ASSERT_FALSE(system.relays().empty());
+    const net::Network& network = system.network();
+    std::size_t misplaced = 0;
+    for (const auto& receiver : system.receivers()) {
+      const net::NodeId id = receiver->node_id();
+      const auto& home = system.aggregators()[id % shape.aggregators];
+      if (network.shard_of(id) != network.shard_of(home->node_id())) {
+        ++misplaced;
+      }
+    }
+    EXPECT_EQ(misplaced, 0u);
+  }
+}
+
 // Every metric name of a run, tagged with its kind.
 std::set<std::string> schema_of(const obs::MetricsSnapshot& m) {
   std::set<std::string> names;

@@ -174,6 +174,24 @@ TEST(SystemIntegration, BusyCountFollowsTheConfiguredApplicationId) {
   }
 }
 
+// The PNA counters are plain increments that run with observability off
+// too, so the health ledger's heartbeat balance reads the same either way.
+TEST(SystemIntegration, PnaCountersRunWithObservabilityOff) {
+  const auto heartbeats = [](bool obs_enabled) {
+    SystemConfig config = small_config();
+    config.receivers = 400;
+    config.obs.enabled = obs_enabled;
+    OddciSystem system(config);
+    system.controller().deploy_pna();
+    system.kernel().run_until(system.kernel().now() + config.warmup +
+                              sim::SimTime::from_seconds(120));
+    return system.health_ledger().heartbeats_emitted;
+  };
+  const std::uint64_t with_obs = heartbeats(true);
+  EXPECT_GT(with_obs, 0u);
+  EXPECT_EQ(heartbeats(false), with_obs);
+}
+
 TEST(SystemIntegration, EfficiencyFormula) {
   RunResult r;
   r.makespan_seconds = 100.0;

@@ -4,7 +4,7 @@
 
 #include "core/system.hpp"
 #include "obs/metrics.hpp"
-#include "sim/simulation.hpp"
+#include "sim/sharded.hpp"
 #include "workload/job.hpp"
 
 namespace oddci::obs {
@@ -20,20 +20,20 @@ TEST(Sampler, OptionsValidate) {
 }
 
 TEST(Sampler, GaugeSeriesRecordsEveryInterval) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel(sim::ShardedSimulation::Options{});
   MetricsRegistry reg;
   Sampler::Options opts;
   opts.interval = sim::SimTime::from_seconds(10);
-  Sampler sampler(simulation, reg, opts);
+  Sampler sampler(kernel, reg, opts);
 
   double level = 0.0;
   sampler.add_gauge_series("level", [&level] { return level; });
   sampler.start();
   EXPECT_TRUE(sampler.running());
 
-  simulation.schedule_at(sim::SimTime::from_seconds(15),
-                         [&level] { level = 5.0; });
-  simulation.run_until(sim::SimTime::from_seconds(35));
+  kernel.shard(0).schedule_at(sim::SimTime::from_seconds(15),
+                              [&level] { level = 5.0; });
+  kernel.run_until(sim::SimTime::from_seconds(35));
 
   const MetricsSnapshot snap = reg.snapshot(35.0);
   const SeriesSample* s = snap.find_series("level");
@@ -48,20 +48,20 @@ TEST(Sampler, GaugeSeriesRecordsEveryInterval) {
 }
 
 TEST(Sampler, RateSeriesIsPerSecondDelta) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel(sim::ShardedSimulation::Options{});
   MetricsRegistry reg;
   Sampler::Options opts;
   opts.interval = sim::SimTime::from_seconds(10);
-  Sampler sampler(simulation, reg, opts);
+  Sampler sampler(kernel, reg, opts);
 
   Counter beats;
   sampler.add_rate_series("rate", [&beats] { return beats.value(); });
   sampler.start();
 
   // 30 increments in the first interval, none in the second.
-  simulation.schedule_at(sim::SimTime::from_seconds(5),
-                         [&beats] { beats.inc(30); });
-  simulation.run_until(sim::SimTime::from_seconds(25));
+  kernel.shard(0).schedule_at(sim::SimTime::from_seconds(5),
+                              [&beats] { beats.inc(30); });
+  kernel.run_until(sim::SimTime::from_seconds(25));
 
   const MetricsSnapshot snap = reg.snapshot(25.0);
   const SeriesSample* s = snap.find_series("rate");
@@ -72,9 +72,9 @@ TEST(Sampler, RateSeriesIsPerSecondDelta) {
 }
 
 TEST(Sampler, ProbesMustRegisterBeforeStart) {
-  sim::Simulation simulation;
+  sim::ShardedSimulation kernel(sim::ShardedSimulation::Options{});
   MetricsRegistry reg;
-  Sampler sampler(simulation, reg);
+  Sampler sampler(kernel, reg);
   sampler.start();
   EXPECT_THROW(sampler.add_gauge_series("late", [] { return 0.0; }),
                std::logic_error);
@@ -82,6 +82,56 @@ TEST(Sampler, ProbesMustRegisterBeforeStart) {
                std::logic_error);
   sampler.stop();
   EXPECT_FALSE(sampler.running());
+}
+
+// A tick runs at the start of its instant at every shard count: before a
+// wheel timer armed after start() and before a default-priority event due
+// at the same time, as a global task at a window boundary does under
+// several shards. So one shard and two read the same series.
+TEST(Sampler, TickSeesTheSameInstantAtEveryShardCount) {
+  const auto series_at = [](std::size_t shards) {
+    sim::ShardedSimulation::Options kopts;
+    kopts.shards = shards;
+    sim::ShardedSimulation kernel(kopts);
+    MetricsRegistry reg;
+    Sampler::Options opts;
+    opts.interval = sim::SimTime::from_seconds(10);
+    Sampler sampler(kernel, reg, opts);
+    double level = 0.0;
+    sampler.add_gauge_series("level", [&level] { return level; });
+    sampler.start();
+    sim::Simulation& control = kernel.shard(0);
+    control.schedule_timer_at(sim::SimTime::from_seconds(10),
+                              [&level] { level = 5.0; });
+    control.schedule_at(sim::SimTime::from_seconds(20),
+                        [&level] { level = 7.0; });
+    kernel.run_until(sim::SimTime::from_seconds(35));
+    sampler.stop();
+    const MetricsSnapshot snap = reg.snapshot(35.0);
+    const SeriesSample* s = snap.find_series("level");
+    return s == nullptr ? std::vector<double>{} : s->values;
+  };
+  const std::vector<double> expected = {0.0, 5.0, 7.0};
+  EXPECT_EQ(series_at(1), expected);
+  EXPECT_EQ(series_at(2), expected);
+}
+
+// A stop() ends the tick chain; a later start() begins one new chain on a
+// fresh grid instead of reviving the stopped one beside it.
+TEST(Sampler, RestartTicksOncePerInterval) {
+  sim::ShardedSimulation kernel(sim::ShardedSimulation::Options{});
+  MetricsRegistry reg;
+  Sampler::Options opts;
+  opts.interval = sim::SimTime::from_seconds(10);
+  Sampler sampler(kernel, reg, opts);
+  sampler.add_gauge_series("level", [] { return 1.0; });
+  sampler.start();
+  kernel.run_until(sim::SimTime::from_seconds(15));
+  sampler.stop();
+  sampler.start();
+  kernel.run_until(sim::SimTime::from_seconds(45));
+  // t = 10, then the new grid from 15: 25, 35, 45.
+  EXPECT_EQ(sampler.ticks(), 4u);
 }
 
 // Two runs of the same seeded scenario must produce bit-identical
