@@ -1,22 +1,19 @@
-// Broadcast fan-out + heartbeat-storm microbench for the fan-out fast
-// path (verify-once control messages, shared decoded broadcasts, pooled
-// heartbeat messages).
+// Broadcast fan-out + heartbeat-storm microbench (verify-once control
+// messages, shared decoded broadcasts, pooled heartbeat messages).
 //
-// Scenario, per population and per mode (fast path on / off — the off mode
-// is the pre-fast-path behaviour kept in-tree as the A/B baseline):
+// Scenario, per population and per heartbeat encoding (naive or delta):
 //
 //  1. Fan-out phase: deploy the PNA. One signed control message reaches
-//     every receiver; the whole population decodes + verifies it (once per
-//     receiver in baseline mode, once per *broadcast* in fast mode).
+//     every receiver; the population shares one decode and one signature
+//     hash per shard.
 //  2. Storm phase: the population heartbeats at a 10 s cadence through the
 //     aggregation tier for 10 simulated minutes (the allocation hot path:
-//     one HeartbeatMessage per beat in baseline mode, a recycled pool slot
-//     in fast mode).
+//     each beat is a recycled pool slot).
 //
-// Both modes execute the identical event trajectory (asserted by the
-// fanout_ab integration test), so wall-clock ratios are pure hot-path
-// cost. Output: human table on stdout, BENCH_fanout.json shape via
-// --json <path>. --quick shrinks to one small population for CI smoke.
+// `--heartbeat-mode both` runs naive and delta at each population and
+// reports the naive-vs-delta ratios. Output: human table on stdout,
+// BENCH_fanout.json shape via --json <path>. --quick shrinks to one small
+// population for CI smoke.
 //
 // --byzantine replaces the sweep with the verification-overhead point:
 // the byzantine_10pct acceptance scenario (100k receivers, 10% forgers,
@@ -54,7 +51,6 @@ using bench::current_rss_mb;
 struct Point {
   std::size_t receivers = 0;
   std::size_t shards = 1;
-  bool fast_path = false;
   core::HeartbeatMode hb_mode = core::HeartbeatMode::kNaive;
   double fanout_wall_s = 0.0;
   double storm_wall_s = 0.0;
@@ -213,12 +209,11 @@ void write_byz_json(std::ostream& out, const std::vector<ByzPoint>& byz) {
   out << "\n  },\n";
 }
 
-Point run_point(std::size_t receivers, bool fast_path, std::size_t shards,
+Point run_point(std::size_t receivers, std::size_t shards,
                 core::HeartbeatMode hb_mode) {
   Point point;
   point.receivers = receivers;
   point.shards = shards;
-  point.fast_path = fast_path;
   point.hb_mode = hb_mode;
 
   core::SystemConfig config;
@@ -227,7 +222,6 @@ Point run_point(std::size_t receivers, bool fast_path, std::size_t shards,
   config.aggregators = 16;
   config.seed = 99;
   config.controller.default_heartbeat = sim::SimTime::from_seconds(10);
-  config.fanout_fast_path = fast_path;
   config.shards = shards;
   config.heartbeat.mode = hb_mode;
 
@@ -265,15 +259,13 @@ Point run_point(std::size_t receivers, bool fast_path, std::size_t shards,
 }
 
 void print_point(const Point& p) {
-  std::printf("%9zu | %-8s | %-5s | %8.2f | %8.2f | %8.3g | %7.1f | %s\n",
-              p.receivers, p.fast_path ? "fast" : "baseline",
-              hb_mode_name(p.hb_mode), p.fanout_wall_s, p.storm_wall_s,
-              p.events_per_sec, p.rss_delta_mb,
-              ("ingest " + std::to_string(p.report_bytes_ingested / 1024) +
-               " KiB" +
-               (p.fast_path ? ", pool " + std::to_string(p.pool_reused) + "r"
-                            : std::string()))
-                  .c_str());
+  std::printf(
+      "%9zu | %-5s | %8.2f | %8.2f | %8.3g | %7.1f | ingest %llu KiB, "
+      "pool %llur\n",
+      p.receivers, hb_mode_name(p.hb_mode), p.fanout_wall_s, p.storm_wall_s,
+      p.events_per_sec, p.rss_delta_mb,
+      static_cast<unsigned long long>(p.report_bytes_ingested / 1024),
+      static_cast<unsigned long long>(p.pool_reused));
 }
 
 void write_json(const std::string& path, const std::vector<Point>& points,
@@ -294,8 +286,7 @@ void write_json(const std::string& path, const std::vector<Point>& points,
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     out << "    {\"receivers\": " << p.receivers
-        << ", \"shards\": " << p.shards << ", \"mode\": \""
-        << (p.fast_path ? "fast" : "baseline") << "\""
+        << ", \"shards\": " << p.shards
         << ", \"heartbeat_mode\": \"" << hb_mode_name(p.hb_mode) << "\""
         << ", \"fanout_wall_s\": " << p.fanout_wall_s
         << ", \"storm_wall_s\": " << p.storm_wall_s
@@ -314,42 +305,20 @@ void write_json(const std::string& path, const std::vector<Point>& points,
         << ", \"controller_tick_wall_s\": " << p.controller_tick_wall_s
         << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
-  // Fast-path A/B within each heartbeat mode.
-  out << "  ],\n  \"speedups\": [\n";
+  // Naive-vs-delta: the O(changes) return channel's win in ingested
+  // report bytes, Controller tick wall time and storm wall time.
+  out << "  ],\n  \"delta_speedups\": [\n";
   bool first = true;
-  for (const auto& base : points) {
-    if (base.fast_path) continue;
-    for (const auto& fast : points) {
-      if (!fast.fast_path || fast.receivers != base.receivers ||
-          fast.hb_mode != base.hb_mode) {
-        continue;
-      }
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"receivers\": " << base.receivers
-          << ", \"heartbeat_mode\": \"" << hb_mode_name(base.hb_mode) << "\""
-          << ", \"wall_speedup\": " << base.wall_seconds / fast.wall_seconds
-          << ", \"storm_speedup\": " << base.storm_wall_s / fast.storm_wall_s
-          << "}";
-    }
-  }
-  // Naive-vs-delta at the same fast-path setting: the O(changes) return
-  // channel's win in ingested report bytes, Controller tick wall time and
-  // storm wall time.
-  out << "\n  ],\n  \"delta_speedups\": [\n";
-  first = true;
   for (const auto& naive : points) {
     if (naive.hb_mode != core::HeartbeatMode::kNaive) continue;
     for (const auto& delta : points) {
       if (delta.hb_mode != core::HeartbeatMode::kDelta ||
-          delta.receivers != naive.receivers ||
-          delta.fast_path != naive.fast_path) {
+          delta.receivers != naive.receivers) {
         continue;
       }
       if (!first) out << ",\n";
       first = false;
-      out << "    {\"receivers\": " << naive.receivers << ", \"mode\": \""
-          << (naive.fast_path ? "fast" : "baseline") << "\""
+      out << "    {\"receivers\": " << naive.receivers
           << ", \"ingest_bytes_ratio\": "
           << (delta.report_bytes_ingested > 0
                   ? static_cast<double>(naive.report_bytes_ingested) /
@@ -422,60 +391,28 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{10'000}
             : std::vector<std::size_t>{100'000, 1'000'000};
 
-  std::cout << "== Broadcast fan-out + heartbeat storm: baseline "
-            << "(per-receiver verify, per-beat allocation) vs fast path ==\n";
-  std::cout << "receivers | mode     | hb    | fanout s | storm s  | ev/s    "
-            << " | dRSS MB | counters\n";
-  // Sweep, per population:
-  //  naive / delta : {baseline, fast} in the requested encoding;
-  //  both          : the naive A/B pair plus one fast+delta point — the
-  //                  direct naive-vs-delta comparison at the same
-  //                  fast-path setting (delta_speedups in the JSON).
-  struct Cell {
-    bool fast;
-    core::HeartbeatMode mode;
-  };
-  std::vector<Cell> cells;
-  if (hb_arg == "naive" || hb_arg == "both") {
-    cells.push_back({false, core::HeartbeatMode::kNaive});
-    cells.push_back({true, core::HeartbeatMode::kNaive});
-  }
-  if (hb_arg == "delta") {
-    cells.push_back({false, core::HeartbeatMode::kDelta});
-  }
-  if (hb_arg == "delta" || hb_arg == "both") {
-    cells.push_back({true, core::HeartbeatMode::kDelta});
-  }
+  std::cout << "== Broadcast fan-out + heartbeat storm ==\n";
+  std::cout << "receivers | hb    | fanout s | storm s  | ev/s     | dRSS MB "
+            << "| counters\n";
+  std::vector<core::HeartbeatMode> modes;
+  if (hb_arg != "delta") modes.push_back(core::HeartbeatMode::kNaive);
+  if (hb_arg != "naive") modes.push_back(core::HeartbeatMode::kDelta);
   std::vector<Point> points;
   for (const auto receivers : populations) {
-    // Baseline first, then fast. Note the ordering caveat: the allocator
-    // is warm with pages the baseline point freed, which can understate
-    // the fast point's RSS delta (see rss_note in the JSON).
-    for (const Cell& cell : cells) {
-      points.push_back(run_point(receivers, cell.fast, shards, cell.mode));
+    // Note the ordering caveat: the allocator is warm with pages an
+    // earlier point freed, which can understate a later point's RSS delta
+    // (see rss_note in the JSON).
+    for (const core::HeartbeatMode mode : modes) {
+      points.push_back(run_point(receivers, shards, mode));
       print_point(points.back());
     }
   }
 
-  for (const auto& base : points) {
-    if (base.fast_path) continue;
-    for (const auto& fast : points) {
-      if (!fast.fast_path || fast.receivers != base.receivers ||
-          fast.hb_mode != base.hb_mode) {
-        continue;
-      }
-      std::printf("%9zu receivers (%s): wall %.2fx, storm %.2fx\n",
-                  base.receivers, hb_mode_name(base.hb_mode),
-                  base.wall_seconds / fast.wall_seconds,
-                  base.storm_wall_s / fast.storm_wall_s);
-    }
-  }
   for (const auto& naive : points) {
     if (naive.hb_mode != core::HeartbeatMode::kNaive) continue;
     for (const auto& delta : points) {
       if (delta.hb_mode != core::HeartbeatMode::kDelta ||
-          delta.receivers != naive.receivers ||
-          delta.fast_path != naive.fast_path) {
+          delta.receivers != naive.receivers) {
         continue;
       }
       std::printf(

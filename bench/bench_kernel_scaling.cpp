@@ -1,15 +1,12 @@
-// Kernel scaling benchmark for the pooled-event + timer-wheel refactor.
+// Kernel scaling benchmark for the pooled-event + timer-wheel kernel.
 //
 // Two parts:
 //
-//  1. Kernel A/B — a synthetic heartbeat workload (N recurring timers with
-//     random phases plus a stream of one-shot cancellations, the shape the
-//     OddCI control plane produces) is driven through (a) `NaiveKernel`,
-//     an embedded replica of the pre-refactor kernel
-//     (std::priority_queue + std::unordered_map<id, std::function>), and
-//     (b) the pooled `sim::Simulation` with wheel-backed timers. The
-//     events/sec ratio at each population is the refactor's score; the
-//     acceptance bar is >= 3x at the million-timer point.
+//  1. Kernel heartbeats — a synthetic heartbeat workload (N recurring
+//     timers with random phases plus a stream of one-shot cancellations,
+//     the shape the OddCI control plane produces) driven through
+//     `sim::Simulation` with wheel-backed timers: events/sec per
+//     population, kernel cost only.
 //
 //  2. System sweep — full `OddciSystem::run_job` at 10k -> 1M receivers,
 //     reporting events/sec, wall seconds per simulated hour, and peak RSS.
@@ -26,14 +23,11 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_metrics.hpp"
@@ -75,110 +69,9 @@ void settle_allocator() {
 // sweep that caused it.
 using bench::current_rss_mb;
 
-// ---------------------------------------------------------------------------
-// Replica of the pre-refactor kernel, kept structurally identical to the
-// seed `sim::Simulation` (git history): a std::priority_queue of
-// (time, priority, id) entries, a hash map from id to std::function,
-// cancellation via map erase with heap tombstones, and the pre-refactor
-// pop path's two hash lookups per executed event (liveness check in
-// pop_next, then find+erase in step). Kept here so the speedup claim stays
-// measurable against this exact baseline.
-class NaiveKernel {
- public:
-  using Callback = std::function<void()>;
-
-  std::uint64_t schedule_at(std::int64_t t, Callback cb, int priority = 10) {
-    const std::uint64_t id = next_id_++;
-    queue_.push(Entry{t, priority, id});
-    pending_.emplace(id, std::move(cb));
-    return id;
-  }
-
-  bool cancel(std::uint64_t id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return false;
-    pending_.erase(it);
-    return true;
-  }
-
-  [[nodiscard]] std::int64_t now() const { return now_; }
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
-
-  void run_until(std::int64_t horizon) {
-    while (!queue_.empty() && queue_.top().time <= horizon) {
-      const Entry e = queue_.top();
-      queue_.pop();
-      if (pending_.count(e.id) == 0) continue;  // cancelled tombstone
-      now_ = e.time;
-      auto it = pending_.find(e.id);
-      Callback cb = std::move(it->second);
-      pending_.erase(it);
-      ++executed_;
-      cb();
-    }
-    now_ = horizon;
-  }
-
- private:
-  struct Entry {
-    std::int64_t time;
-    int priority;
-    std::uint64_t id;
-    bool operator<(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      if (priority != other.priority) return priority > other.priority;
-      return id > other.id;
-    }
-  };
-  std::priority_queue<Entry> queue_;
-  std::unordered_map<std::uint64_t, Callback> pending_;
-  std::int64_t now_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t executed_ = 0;
-};
-
-// Replica of the pre-refactor PeriodicTask: shared state behind a
-// shared_ptr, each tick locks a weak_ptr, runs the stored std::function,
-// and re-arms by scheduling a fresh closure. The pre-refactor system drove
-// every receiver heartbeat through this path.
-class NaivePeriodic {
- public:
-  NaivePeriodic(NaiveKernel& kernel, std::int64_t start, std::int64_t period,
-                std::function<void()> on_tick) {
-    state_ = std::make_shared<State>();
-    state_->kernel = &kernel;
-    state_->period = period;
-    state_->on_tick = std::move(on_tick);
-    state_->active = true;
-    arm(state_, start);
-  }
-
- private:
-  struct State {
-    NaiveKernel* kernel = nullptr;
-    std::int64_t period = 0;
-    std::function<void()> on_tick;
-    bool active = false;
-  };
-
-  static void arm(const std::shared_ptr<State>& state, std::int64_t at) {
-    std::weak_ptr<State> weak = state;
-    state->kernel->schedule_at(at, [weak] {
-      auto s = weak.lock();
-      if (!s || !s->active) return;
-      s->on_tick();
-      if (s->active) arm(s, s->kernel->now() + s->period);
-    });
-  }
-
-  std::shared_ptr<State> state_;
-};
-
 struct KernelPoint {
   std::size_t population = 0;
-  double naive_events_per_sec = 0.0;
-  double pooled_events_per_sec = 0.0;
-  double speedup = 0.0;
+  double events_per_sec = 0.0;
 };
 
 // Control-plane workload mirroring what `run_job` generates per heartbeat:
@@ -186,14 +79,11 @@ struct KernelPoint {
 // two chained hops exactly as net::Network::send schedules them (an
 // edge-arrival event whose handler schedules the downlink-completion
 // event; each closure captures {this, from, to, shared_ptr message} =
-// 32 bytes — beyond std::function's 16-byte small-object buffer, so the
-// pre-refactor kernel heap-allocated both hops of every heartbeat), and
-// the beat re-arms a liveness watchdog that is cancelled on the next beat
-// (the dominant cancel source). `population` timers, 30 s period, random
-// phase, one simulated hour. Message construction is deliberately hoisted
-// out (a shared dummy payload) so the A/B measures kernel cost, not
-// workload cost. Useful events = beat + 2 hops, identical on both sides,
-// so the speedup is a pure wall-clock ratio.
+// 32 bytes), and the beat re-arms a liveness watchdog that is cancelled
+// on the next beat (the dominant cancel source). `population` timers,
+// 30 s period, random phase, one simulated hour. Message construction is
+// deliberately hoisted out (a shared dummy payload) so the point measures
+// kernel cost, not workload cost. Useful events = beat + 2 hops.
 constexpr std::int64_t kHourUs = 3'600'000'000;
 constexpr std::int64_t kPeriodUs = 30'000'000;
 constexpr std::int64_t kEdgeUs = 40'000;  // uplink + propagation to edge
@@ -204,98 +94,47 @@ struct Payload {
   std::uint64_t* sink = nullptr;
 };
 
-KernelPoint kernel_ab(std::size_t population) {
+KernelPoint kernel_heartbeats(std::size_t population) {
   KernelPoint point;
   point.population = population;
-  std::uint64_t naive_beats = 0;
-  std::uint64_t pooled_beats = 0;
-
-  {  // --- naive baseline (pre-refactor kernel replica) ---
-    util::Random rng(7);
-    NaiveKernel kernel;
-    std::uint64_t delivered = 0;
-    const auto message = std::make_shared<Payload>();
-    message->sink = &delivered;
-    std::vector<std::uint64_t> watchdog(population, 0);
-    std::vector<NaivePeriodic> beats;
-    beats.reserve(population);
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < population; ++i) {
-      const auto phase =
-          static_cast<std::int64_t>(rng.uniform(0.0, 1.0) * kPeriodUs);
-      beats.emplace_back(kernel, phase, kPeriodUs, [&kernel, &watchdog,
-                                                    message, i] {
-        void* const self = &kernel;
-        const auto from = static_cast<std::uint32_t>(i);
-        const std::uint32_t to = 0;
-        kernel.schedule_at(
-            kernel.now() + kEdgeUs,
-            [self, from, to, message] {
-              NaiveKernel& k = *static_cast<NaiveKernel*>(self);
-              k.schedule_at(k.now() + kDownUs,
-                            [self, from, to, message] {
-                              *message->sink += message->wire_bits != 0;
-                            },
-                            0);
-            },
-            0);
-        if (watchdog[i] != 0) kernel.cancel(watchdog[i]);
-        watchdog[i] = kernel.schedule_at(kernel.now() + 2 * kPeriodUs, [] {});
-      });
-    }
-    kernel.run_until(kHourUs);
-    naive_beats = delivered;
-    point.naive_events_per_sec =
-        static_cast<double>(3 * delivered) / seconds_since(t0);
+  util::Random rng(7);
+  sim::Simulation kernel;
+  std::uint64_t delivered = 0;
+  const auto message = std::make_shared<Payload>();
+  message->sink = &delivered;
+  std::vector<sim::TimerId> watchdog(population, sim::kInvalidTimer);
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < population; ++i) {
+    const auto phase = sim::SimTime::from_micros(
+        static_cast<std::int64_t>(rng.uniform(0.0, 1.0) * kPeriodUs));
+    kernel.schedule_timer_at(
+        phase,
+        [&kernel, &watchdog, message, i] {
+          void* const self = &kernel;
+          const auto from = static_cast<std::uint32_t>(i);
+          const std::uint32_t to = 0;
+          kernel.schedule_in(
+              sim::SimTime::from_micros(kEdgeUs),
+              [self, from, to, message] {
+                auto& k = *static_cast<sim::Simulation*>(self);
+                k.schedule_in(sim::SimTime::from_micros(kDownUs),
+                              [self, from, to, message] {
+                                *message->sink += message->wire_bits != 0;
+                              },
+                              sim::EventPriority::kDelivery);
+              },
+              sim::EventPriority::kDelivery);
+          if (watchdog[i] != sim::kInvalidTimer) {
+            kernel.cancel_timer(watchdog[i]);
+          }
+          watchdog[i] = kernel.schedule_timer_in(
+              sim::SimTime::from_micros(2 * kPeriodUs), [] {});
+        },
+        sim::SimTime::from_micros(kPeriodUs));
   }
-
-  {  // --- pooled kernel + wheel ---
-    util::Random rng(7);
-    sim::Simulation kernel;
-    std::uint64_t delivered = 0;
-    const auto message = std::make_shared<Payload>();
-    message->sink = &delivered;
-    std::vector<sim::TimerId> watchdog(population, sim::kInvalidTimer);
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < population; ++i) {
-      const auto phase = sim::SimTime::from_micros(
-          static_cast<std::int64_t>(rng.uniform(0.0, 1.0) * kPeriodUs));
-      kernel.schedule_timer_at(
-          phase,
-          [&kernel, &watchdog, message, i] {
-            void* const self = &kernel;
-            const auto from = static_cast<std::uint32_t>(i);
-            const std::uint32_t to = 0;
-            kernel.schedule_in(
-                sim::SimTime::from_micros(kEdgeUs),
-                [self, from, to, message] {
-                  auto& k = *static_cast<sim::Simulation*>(self);
-                  k.schedule_in(sim::SimTime::from_micros(kDownUs),
-                                [self, from, to, message] {
-                                  *message->sink += message->wire_bits != 0;
-                                },
-                                sim::EventPriority::kDelivery);
-                },
-                sim::EventPriority::kDelivery);
-            if (watchdog[i] != sim::kInvalidTimer) {
-              kernel.cancel_timer(watchdog[i]);
-            }
-            watchdog[i] = kernel.schedule_timer_in(
-                sim::SimTime::from_micros(2 * kPeriodUs), [] {});
-          },
-          sim::SimTime::from_micros(kPeriodUs));
-    }
-    kernel.run_until(sim::SimTime::from_micros(kHourUs));
-    pooled_beats = delivered;
-    point.pooled_events_per_sec =
-        static_cast<double>(3 * delivered) / seconds_since(t0);
-  }
-
-  if (naive_beats != pooled_beats) {
-    std::cerr << "kernel_ab: divergent beat counts (naive=" << naive_beats
-              << ", pooled=" << pooled_beats << ")\n";
-  }
-  point.speedup = point.pooled_events_per_sec / point.naive_events_per_sec;
+  kernel.run_until(sim::SimTime::from_micros(kHourUs));
+  point.events_per_sec =
+      static_cast<double>(3 * delivered) / seconds_since(t0);
   return point;
 }
 
@@ -458,16 +297,14 @@ int main(int argc, char** argv) {
   const std::size_t shard_sweep_pop = system_pops.back();
   if (deep && !quick) system_pops.push_back(10'000'000);
 
-  std::cout << "== Kernel A/B: naive (pre-refactor replica) vs pooled+wheel"
+  std::cout << "== Kernel: pooled events + wheel timers"
             << " — 1 simulated hour of heartbeats ==\n";
-  std::cout << "population | naive ev/s | pooled ev/s | speedup\n";
+  std::cout << "population | ev/s\n";
   std::vector<KernelPoint> kernel_points;
   for (const auto population : kernel_pops) {
-    const auto point = kernel_ab(population);
+    const auto point = kernel_heartbeats(population);
     kernel_points.push_back(point);
-    std::printf("%10zu | %10.3g | %11.3g | %6.2fx\n", point.population,
-                point.naive_events_per_sec, point.pooled_events_per_sec,
-                point.speedup);
+    std::printf("%10zu | %.3g\n", point.population, point.events_per_sec);
   }
 
   std::cout << "\n== System sweep: OddciSystem::run_job (shards=" << shards
@@ -532,13 +369,11 @@ int main(int argc, char** argv) {
     // sweep had: K worker threads on fewer than K cores time-slice, so the
     // barrier cost shows up but the parallelism cannot.
     out << "{\n  \"host\": " << oddci::bench::host_json() << ",\n"
-        << "  \"kernel_ab\": [\n";
+        << "  \"kernel_heartbeats\": [\n";
     for (std::size_t i = 0; i < kernel_points.size(); ++i) {
       const auto& p = kernel_points[i];
       out << "    {\"population\": " << p.population
-          << ", \"naive_events_per_sec\": " << p.naive_events_per_sec
-          << ", \"pooled_events_per_sec\": " << p.pooled_events_per_sec
-          << ", \"speedup\": " << p.speedup << "}"
+          << ", \"events_per_sec\": " << p.events_per_sec << "}"
           << (i + 1 < kernel_points.size() ? "," : "") << "\n";
     }
     const auto emit_system_point = [&out](const SystemPoint& p) {

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "analytical/models.hpp"
 #include "control/policy.hpp"
@@ -101,11 +102,22 @@ void install_progress(core::OddciSystem& system, double every_s) {
       sim::SimTime::from_seconds(every_s));
 }
 
+/// A count or size read from `key`: negative values are rejected (cast to
+/// std::size_t they would wrap to 2^64-1 and fail far from the typo).
+std::size_t get_count(const util::Config& cfg, const std::string& key,
+                      long long fallback) {
+  const long long value = cfg.get_int(key, fallback);
+  if (value < 0) {
+    throw std::runtime_error(key + " must be >= 0, got " +
+                             std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 core::SystemConfig system_config(const util::Config& cfg) {
   core::SystemConfig config;
-  config.receivers =
-      static_cast<std::size_t>(cfg.get_int("receivers", 1000));
-  config.channels = static_cast<std::size_t>(cfg.get_int("channels", 1));
+  config.receivers = get_count(cfg, "receivers", 1000);
+  config.channels = get_count(cfg, "channels", 1);
   config.beta = util::BitRate::from_mbps(cfg.get_double("beta_mbps", 1.0));
   config.delta =
       util::BitRate::from_kbps(cfg.get_double("delta_kbps", 150.0));
@@ -130,8 +142,7 @@ core::SystemConfig system_config(const util::Config& cfg) {
   config.control.seed =
       static_cast<std::uint64_t>(cfg.get_int("control_seed", 0));
   config.tuned_fraction = cfg.get_double("tuned_fraction", 1.0);
-  config.aggregators =
-      static_cast<std::size_t>(cfg.get_int("aggregators", 0));
+  config.aggregators = get_count(cfg, "aggregators", 0);
   // O(changes) return channel: delta-encoded aggregate reports, optional
   // relay tier, paced heartbeats, and the modeled (bounded-queue) links on
   // the PNA -> aggregator -> Controller path. All default off.
@@ -142,13 +153,12 @@ core::SystemConfig system_config(const util::Config& cfg) {
     throw std::runtime_error("heartbeat_mode must be 'naive' or 'delta'");
   }
   config.heartbeat.resync_every =
-      static_cast<std::uint32_t>(cfg.get_int("resync_every", 30));
+      static_cast<std::uint32_t>(get_count(cfg, "resync_every", 30));
   const double expiry_s = cfg.get_double("heartbeat_expiry_s", 0.0);
   if (expiry_s > 0.0) {
     config.heartbeat.expiry = sim::SimTime::from_seconds(expiry_s);
   }
-  config.heartbeat.tree_fanin =
-      static_cast<std::size_t>(cfg.get_int("tree_fanin", 0));
+  config.heartbeat.tree_fanin = get_count(cfg, "tree_fanin", 0);
   config.heartbeat.paced = cfg.get_bool("heartbeat_paced", false);
   const double pace_window_s = cfg.get_double("pace_window_s", 0.0);
   if (pace_window_s > 0.0) {
@@ -173,14 +183,11 @@ core::SystemConfig system_config(const util::Config& cfg) {
                        !cfg.get_string("profile_json", "").empty();
   // Causal flight recorder: on when a trace export path is configured.
   config.obs.trace = !cfg.get_string("trace_json", "").empty();
-  config.obs.trace_capacity = static_cast<std::size_t>(
-      cfg.get_int("trace_capacity", 1 << 16));
-  config.obs.health_tamper_lost =
-      static_cast<std::uint64_t>(cfg.get_int("health_tamper_lost", 0));
-  config.fanout_fast_path = cfg.get_bool("fanout_fast_path", true);
-  // Sharded parallel kernel: worker-thread shard count. 1 = the classic
-  // single-threaded kernel; existing scenario files are unchanged.
-  config.shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
+  config.obs.trace_capacity = get_count(cfg, "trace_capacity", 1 << 16);
+  config.obs.health_tamper_lost = get_count(cfg, "health_tamper_lost", 0);
+  // Sharded parallel kernel: worker-thread shard count (1 = one shard on
+  // the calling thread).
+  config.shards = get_count(cfg, "shards", 1);
   const double window_ms = cfg.get_double("window_ms", 0.0);
   if (window_ms > 0.0) {
     config.window = sim::SimTime::from_seconds(window_ms / 1e3);
@@ -208,8 +215,11 @@ core::SystemConfig system_config(const util::Config& cfg) {
   }
 
   const std::string power = cfg.get_string("power", "standby");
-  config.initial_power = power == "in-use" ? dtv::PowerMode::kInUse
-                                           : dtv::PowerMode::kStandby;
+  if (power == "in-use") {
+    config.initial_power = dtv::PowerMode::kInUse;
+  } else if (power != "standby") {
+    throw std::runtime_error("power must be 'standby' or 'in-use'");
+  }
 
   if (cfg.get_bool("churn", false)) {
     core::ChurnOptions churn;
@@ -261,13 +271,13 @@ core::SystemConfig system_config(const util::Config& cfg) {
     f.corrupt_exposure = sim::SimTime::from_seconds(
         cfg.get_double("fault_corrupt_exposure_s", 2.0));
     f.result_retry_limit =
-        static_cast<int>(cfg.get_int("fault_result_retry_limit", 4));
+        static_cast<int>(get_count(cfg, "fault_result_retry_limit", 4));
     f.result_retry_base = sim::SimTime::from_seconds(
         cfg.get_double("fault_result_retry_s", 2.0));
     f.request_watchdog = sim::SimTime::from_seconds(
         cfg.get_double("fault_request_watchdog_s", 45.0));
     f.task_retry_cap =
-        static_cast<int>(cfg.get_int("fault_task_retry_cap", 16));
+        static_cast<int>(get_count(cfg, "fault_task_retry_cap", 16));
     f.aggregator_failover_timeout = sim::SimTime::from_seconds(
         cfg.get_double("fault_failover_s", 60.0));
     // Byzantine adversary profiles (require fault=1): seeded fractions of
@@ -277,7 +287,7 @@ core::SystemConfig system_config(const util::Config& cfg) {
     f.byzantine_freerider_fraction =
         cfg.get_double("byzantine_freeriders", 0.0);
     f.byzantine_collusion_size =
-        static_cast<std::uint32_t>(cfg.get_int("byzantine_collusion", 0));
+        static_cast<std::uint32_t>(get_count(cfg, "byzantine_collusion", 0));
   }
 
   // Backend-side Byzantine defense: redundant dispatch + quorum voting,
@@ -287,16 +297,16 @@ core::SystemConfig system_config(const util::Config& cfg) {
     core::VerifyOptions& v = config.verify;
     v.enabled = true;
     v.redundancy =
-        static_cast<std::uint32_t>(cfg.get_int("verify_redundancy", 2));
+        static_cast<std::uint32_t>(get_count(cfg, "verify_redundancy", 2));
     v.trusted_redundancy = static_cast<std::uint32_t>(
-        cfg.get_int("verify_trusted_redundancy", 1));
-    v.max_redundancy =
-        static_cast<std::uint32_t>(cfg.get_int("verify_max_redundancy", 5));
+        get_count(cfg, "verify_trusted_redundancy", 1));
+    v.max_redundancy = static_cast<std::uint32_t>(
+        get_count(cfg, "verify_max_redundancy", 5));
     v.spot_check_rate = cfg.get_double("verify_spot_rate", 0.05);
     v.quarantine_spot_boost =
         cfg.get_double("verify_quarantine_boost", 4.0);
     v.parole_failure_limit = static_cast<std::uint32_t>(
-        cfg.get_int("verify_parole_failure_limit", 4));
+        get_count(cfg, "verify_parole_failure_limit", 4));
     v.implausible_speedup =
         cfg.get_double("verify_implausible_speedup", 64.0);
     v.eager_replicas = cfg.get_bool("verify_eager", false);
@@ -306,9 +316,9 @@ core::SystemConfig system_config(const util::Config& cfg) {
         cfg.get_double("reputation_quarantine_below", 0.25);
     v.trusted_above = cfg.get_double("reputation_trusted_above", 0.9);
     v.min_observations = static_cast<std::uint32_t>(
-        cfg.get_int("reputation_min_observations", 8));
+        get_count(cfg, "reputation_min_observations", 8));
     v.parole_checks = static_cast<std::uint32_t>(
-        cfg.get_int("reputation_parole_checks", 3));
+        get_count(cfg, "reputation_parole_checks", 3));
     v.seed = static_cast<std::uint64_t>(cfg.get_int("verify_seed", 0));
   }
   return config;
@@ -317,10 +327,10 @@ core::SystemConfig system_config(const util::Config& cfg) {
 workload::Job job_from(const util::Config& cfg) {
   return workload::make_uniform_job(
       cfg.get_string("job_name", "scenario-job"),
-      util::Bits::from_megabytes(cfg.get_int("image_mb", 10)),
-      static_cast<std::size_t>(cfg.get_int("tasks", 2000)),
-      util::Bits::from_bytes(cfg.get_int("task_input_bytes", 512)),
-      util::Bits::from_bytes(cfg.get_int("task_result_bytes", 512)),
+      util::Bits::from_megabytes(get_count(cfg, "image_mb", 10)),
+      get_count(cfg, "tasks", 2000),
+      util::Bits::from_bytes(get_count(cfg, "task_input_bytes", 512)),
+      util::Bits::from_bytes(get_count(cfg, "task_result_bytes", 512)),
       cfg.get_double("task_seconds", 30.0));
 }
 
@@ -355,8 +365,7 @@ int main(int argc, char** argv) {
   try {
     const core::SystemConfig config = system_config(cfg);
     const workload::Job job = job_from(cfg);
-    const auto instance_size =
-        static_cast<std::size_t>(cfg.get_int("instance_size", 200));
+    const std::size_t instance_size = get_count(cfg, "instance_size", 200);
     const double deadline_h = cfg.get_double("deadline_hours", 48.0);
 
     std::cout << "scenario: " << argv[1] << "\n"

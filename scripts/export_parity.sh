@@ -6,7 +6,7 @@
 #
 # Builds oddci_runner (Release) twice: for <base-rev>, exported with
 # `git archive` into build-parity/base-src, and for the working tree. Then
-# runs the same 19 seeded scenarios on both and compares, per run, the
+# runs the same 17 seeded scenarios on both and compares, per run, the
 # metrics JSON, the series CSV and the Chrome trace with `cmp`, plus stdout
 # without its `scenario:` line (the path differs). Each side runs its own
 # scenario files, so a change to a scenario shows up as a difference.
@@ -69,8 +69,6 @@ runs=(
   "profiled_churny_k8|profiled_churny_k8|shards=8 receivers=8000 progress=false profile_json="
   "constrained_return_k1|constrained_return_1m|shards=1 receivers=50000 instance_size=1000 tasks=2000 progress=false"
   "constrained_return_k4|constrained_return_1m|shards=4 receivers=50000 instance_size=1000 tasks=2000 progress=false"
-  "fast_path_off_k1|faulty_region|shards=1 fanout_fast_path=false"
-  "fast_path_off_k4|faulty_region|shards=4 fanout_fast_path=false"
   "delta_paced_k1|paper_baseline|shards=1 aggregators=8 heartbeat_mode=delta heartbeat_paced=true tree_fanin=4"
   "fault_matrix_k1|-|shards=1 $fault_matrix"
   "fault_matrix_k4|-|shards=4 $fault_matrix"

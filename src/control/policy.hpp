@@ -57,9 +57,8 @@ enum class EngineKind : std::uint8_t {
 [[nodiscard]] EngineKind engine_kind_from_string(std::string_view name);
 
 /// Control-loop knobs. The shared loop parameters (`monitor_interval`,
-/// `stale_factor`, `overshoot_margin`) moved here from ControllerOptions
-/// (which keeps deprecated forwarding aliases); the rest parameterize the
-/// individual engines.
+/// `stale_factor`, `overshoot_margin`) serve every engine; the rest
+/// parameterize the individual engines.
 struct PolicyOptions {
   EngineKind engine = EngineKind::kStatic;
 

@@ -13,19 +13,17 @@ std::uint64_t ContentStore::put_control(const ControlMessage& message) {
   writer_used_ = true;
   writer_.clear();
   wire::encode_into(message, writer_);
-  if (!concurrent_) {
-    blobs_.emplace(id, writer_.bytes());
-    return id;
-  }
-  // Concurrent mode: decode eagerly so readers on other shards always find
-  // a memoized entry and never mutate the maps under a shared lock.
+  // Decode once at put time: every reader of the id then shares one
+  // immutable PreparedControl, and readers on other shards never mutate
+  // the memo.
   PreparedControlPtr prepared;
   try {
     prepared = PreparedControl::make(wire::decode_control(writer_.bytes()));
   } catch (const wire::WireError&) {
     prepared = nullptr;
   }
-  std::unique_lock lock(mutex_);
+  std::unique_lock lock(mutex_, std::defer_lock);
+  if (concurrent_) lock.lock();
   blobs_.emplace(id, writer_.bytes());
   if (prepared != nullptr) prepared_.emplace(id, std::move(prepared));
   return id;
@@ -45,31 +43,10 @@ std::optional<ControlMessage> ContentStore::get_control(
 }
 
 PreparedControlPtr ContentStore::get_control_shared(std::uint64_t id) const {
-  if (concurrent_) {
-    std::shared_lock lock(mutex_);
-    auto hit = prepared_.find(id);
-    if (hit != prepared_.end()) return hit->second;
-    // Only blobs stored before set_concurrent(true) lack a memo entry;
-    // decode without memoizing rather than write under a shared lock.
-    auto it = blobs_.find(id);
-    if (it == blobs_.end()) return nullptr;
-    try {
-      return PreparedControl::make(wire::decode_control(it->second));
-    } catch (const wire::WireError&) {
-      return nullptr;
-    }
-  }
-  auto hit = prepared_.find(id);
-  if (hit != prepared_.end()) return hit->second;
-  auto it = blobs_.find(id);
-  if (it == blobs_.end()) return nullptr;
-  try {
-    auto prepared = PreparedControl::make(wire::decode_control(it->second));
-    prepared_.emplace(id, prepared);
-    return prepared;
-  } catch (const wire::WireError&) {
-    return nullptr;
-  }
+  std::shared_lock lock(mutex_, std::defer_lock);
+  if (concurrent_) lock.lock();
+  auto it = prepared_.find(id);
+  return it == prepared_.end() ? nullptr : it->second;
 }
 
 const std::string* ContentStore::get_bytes(std::uint64_t id) const {

@@ -23,11 +23,11 @@ class ContentStore {
  public:
   /// Sharded kernel: the Controller (control shard) writes while PNAs on
   /// worker shards read, inside the same window. Turn on reader/writer
-  /// locking and eager decode-memoization at put time (readers then never
-  /// mutate the memo). Single-shard runs never touch the mutex.
+  /// locking. Single-shard runs never touch the mutex.
   void set_concurrent(bool on) { concurrent_ = on; }
 
-  /// Encode and store a control message; returns its content id.
+  /// Encode and store a control message, and decode it once for
+  /// get_control_shared; returns its content id.
   std::uint64_t put_control(const ControlMessage& message);
 
   /// Fetch and decode by content id; nullopt if absent or (defensively)
@@ -35,11 +35,10 @@ class ContentStore {
   [[nodiscard]] std::optional<ControlMessage> get_control(
       std::uint64_t id) const;
 
-  /// Shared-decode fast path: the first reader of a content id pays the
-  /// decode + canonicalization + digest; every later reader of the same id
-  /// gets the same immutable `PreparedControl`. This is what lets a
-  /// broadcast to N receivers decode once instead of N times. Returns
-  /// nullptr if absent or unparsable.
+  /// Shared decode: every reader of a content id gets the same immutable
+  /// `PreparedControl` (decode + canonicalization + digest paid once, at
+  /// put time). This is what lets a broadcast to N receivers decode once
+  /// instead of N times. Returns nullptr if absent or unparsable.
   [[nodiscard]] PreparedControlPtr get_control_shared(std::uint64_t id) const;
 
   /// Raw stored bytes (diagnostics/tests); nullptr if absent.
@@ -59,9 +58,9 @@ class ContentStore {
 
  private:
   std::unordered_map<std::uint64_t, std::string> blobs_;
-  /// Lazily-populated decode memo for get_control_shared; entries die with
-  /// their blob (remove()) so a re-used id can never serve stale bytes.
-  mutable std::unordered_map<std::uint64_t, PreparedControlPtr> prepared_;
+  /// Decode memo for get_control_shared; entries die with their blob
+  /// (remove()) so a re-used id can never serve stale bytes.
+  std::unordered_map<std::uint64_t, PreparedControlPtr> prepared_;
   /// Encode buffer reused across put_control calls (capacity persists).
   wire::Writer writer_;
   bool writer_used_ = false;

@@ -13,6 +13,9 @@ PnaXlet::PnaXlet(const PnaEnvironment& environment, std::uint64_t seed)
   if (env_->counters == nullptr || env_->acquire_latency == nullptr) {
     throw std::invalid_argument("PnaXlet: null counters");
   }
+  if (env_->verify_cache == nullptr || env_->heartbeat_pool == nullptr) {
+    throw std::invalid_argument("PnaXlet: null verify cache or heartbeat pool");
+  }
 }
 
 PnaXlet::~PnaXlet() { cancel_heartbeat(); }
@@ -163,24 +166,15 @@ void PnaXlet::acquire_config() {
         // generation change between issue and delivery.
         if (file.content_id == last_handled_content_) return;
         last_handled_content_ = file.content_id;
-        if (env_->verify_cache != nullptr) {
-          // Fast path: the population shares one immutable decoded message
-          // (canonical bytes + digest computed once per broadcast), and the
-          // signature check is memoized across the population.
-          const PreparedControlPtr control =
-              env_->content_store->get_control_shared(file.content_id);
-          if (!control) return;
-          handle_control(control->message,
-                         control->verify_with(env_->trusted_key,
-                                              *env_->verify_cache));
-          return;
-        }
-        // Decode the configuration file's wire bytes, as a real agent
-        // parses the carousel module it assembled.
-        const std::optional<ControlMessage> control =
-            env_->content_store->get_control(file.content_id);
+        // The population shares one immutable decoded message (canonical
+        // bytes + digest computed once per broadcast), and the signature
+        // check is memoized across the shard's agents.
+        const PreparedControlPtr control =
+            env_->content_store->get_control_shared(file.content_id);
         if (!control) return;
-        handle_control(*control, control->verify_with(env_->trusted_key));
+        handle_control(control->message,
+                       control->verify_with(env_->trusted_key,
+                                            *env_->verify_cache));
       });
 }
 
@@ -397,15 +391,11 @@ void PnaXlet::send_heartbeat_now() {
   const obs::TraceContext ctx =
       trace_emit(obs::TraceEventKind::kHeartbeatSent, parent,
                  static_cast<std::uint64_t>(state()));
-  // Pooled path recycles an exclusively-held message (object + control
+  // The pool recycles an exclusively-held message (object + control
   // block) instead of allocating one per beat.
-  net::MessagePtr hb =
-      env_->heartbeat_pool != nullptr
-          ? net::MessagePtr(env_->heartbeat_pool->acquire(pna_id(), state(),
-                                                         instance(), ctx))
-          : std::make_shared<HeartbeatMessage>(pna_id(), state(), instance(),
-                                               ctx);
-  context_->receiver().send(heartbeat_target_, std::move(hb));
+  context_->receiver().send(
+      heartbeat_target_,
+      env_->heartbeat_pool->acquire(pna_id(), state(), instance(), ctx));
 }
 
 void PnaXlet::request_task() {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/content_store.hpp"
@@ -57,13 +56,11 @@ struct PnaEnvironment {
   /// enabling pacing never perturbs the population's draw sequences).
   std::uint64_t heartbeat_phase_seed = 0;
 
-  // --- fan-out fast path (both nullable: agents fall back to the
-  // per-message decode/verify/allocate slow path) ---------------------------
-
-  /// Shard-shared memoized signature verification: with N agents sharing
-  /// one cache, a broadcast costs one keyed hash, not N.
+  /// Shard-shared memoized signature verification (required): with N
+  /// agents sharing one cache, a broadcast costs one keyed hash, not N.
   broadcast::VerifyCache* verify_cache = nullptr;
-  /// Shard-shared heartbeat recycling pool (see net::MessagePool).
+  /// Shard-shared heartbeat recycling pool (required; see
+  /// net::MessagePool).
   net::MessagePool<HeartbeatMessage>* heartbeat_pool = nullptr;
 
   // --- fault-injection recovery protocol (nullable: with no Recovery block

@@ -350,19 +350,16 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     shard.env.counters = &shard.counters;
     shard.env.acquire_latency = &shard.acquire_latency;
     shard.loss_rng = util::Random(loss_seeds.next());
-    if (config_.fanout_fast_path) {
-      shard.verify_cache = std::make_unique<broadcast::VerifyCache>();
-      // The ring must outlast the in-flight window or acquires find their
-      // slot still referenced and fall back to allocation: heartbeats live
-      // ~tens of milliseconds (delivery + aggregator handling), so size
-      // the lap time well past that at population beat rates.
-      shard.heartbeat_pool =
-          std::make_unique<net::MessagePool<HeartbeatMessage>>(
-              std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
-                                      1u << 17));
-      shard.env.verify_cache = shard.verify_cache.get();
-      shard.env.heartbeat_pool = shard.heartbeat_pool.get();
-    }
+    // The ring must outlast the in-flight window or acquires find their
+    // slot still referenced and fall back to allocation: heartbeats live
+    // ~tens of milliseconds (delivery + aggregator handling), so size the
+    // lap time well past that at population beat rates.
+    shard.heartbeat_pool =
+        std::make_unique<net::MessagePool<HeartbeatMessage>>(
+            std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
+                                    1u << 17));
+    shard.env.verify_cache = &shard.verify_cache;
+    shard.env.heartbeat_pool = shard.heartbeat_pool.get();
   }
 
   net::LinkSpec stb_link{config_.delta, config_.delta,
@@ -605,36 +602,32 @@ void OddciSystem::wire_observability() {
     channel->set_counters(&broadcast_counters_);
   }
 
-  // Fast-path effectiveness counters — registered only when the fast path
-  // exists, so fast-path-off snapshots carry no phantom zero cells.
-  if (config_.fanout_fast_path) {
-    registry_->link_counter_fn(
-        "verify_cache.hit", merged([](const Shard& s) {
-          return s.verify_cache->hits().value();
-        }));
-    registry_->link_counter_fn(
-        "verify_cache.miss", merged([](const Shard& s) {
-          return s.verify_cache->misses().value();
-        }));
-    const auto cache_size =
-        merged([](const Shard& s) { return s.verify_cache->size(); });
-    registry_->link_probe("verify_cache.size", [cache_size] {
-      return static_cast<double>(cache_size());
-    });
-    registry_->link_counter_fn(
-        "heartbeat.pool_reused", merged([](const Shard& s) {
-          return s.heartbeat_pool->reused().value();
-        }));
-    registry_->link_counter_fn(
-        "heartbeat.pool_allocated", merged([](const Shard& s) {
-          return s.heartbeat_pool->allocated().value();
-        }));
-    registry_->link_counter_fn(
-        "heartbeat.pooled_bytes", merged([](const Shard& s) {
-          return s.heartbeat_pool->pooled_bytes().value();
-        }));
-    registry_->link_counter("wire.writer_reuse", store_->writer_reuses());
-  }
+  // Fan-out effectiveness: one signature hash per broadcast per shard,
+  // recycled heartbeat messages.
+  registry_->link_counter_fn(
+      "verify_cache.hit",
+      merged([](const Shard& s) { return s.verify_cache.hits().value(); }));
+  registry_->link_counter_fn(
+      "verify_cache.miss",
+      merged([](const Shard& s) { return s.verify_cache.misses().value(); }));
+  const auto cache_size =
+      merged([](const Shard& s) { return s.verify_cache.size(); });
+  registry_->link_probe("verify_cache.size", [cache_size] {
+    return static_cast<double>(cache_size());
+  });
+  registry_->link_counter_fn(
+      "heartbeat.pool_reused", merged([](const Shard& s) {
+        return s.heartbeat_pool->reused().value();
+      }));
+  registry_->link_counter_fn(
+      "heartbeat.pool_allocated", merged([](const Shard& s) {
+        return s.heartbeat_pool->allocated().value();
+      }));
+  registry_->link_counter_fn(
+      "heartbeat.pooled_bytes", merged([](const Shard& s) {
+        return s.heartbeat_pool->pooled_bytes().value();
+      }));
+  registry_->link_counter("wire.writer_reuse", store_->writer_reuses());
 
   // Fault/recovery cells — only when fault injection is on, so fault-off
   // snapshots are byte-identical to a build without the subsystem.
@@ -783,16 +776,10 @@ obs::HealthLedger OddciSystem::health_ledger() const {
     events.pending = shard.pending_events();
     ledger.shards.push_back(events);
   }
-  // Pool balance only holds on the fan-out fast path, where every emitted
-  // heartbeat goes through exactly one pool acquire.
-  if (config_.fanout_fast_path) {
-    ledger.pool_active = true;
-    ledger.pool_acquired = sum_shards([](const Shard& s) {
-      return s.heartbeat_pool->reused().value() +
-             s.heartbeat_pool->allocated().value();
-    });
-    ledger.pool_expected = ledger.heartbeats_emitted;
-  }
+  ledger.pool_acquired = sum_shards([](const Shard& s) {
+    return s.heartbeat_pool->reused().value() +
+           s.heartbeat_pool->allocated().value();
+  });
   if (verifier_) {
     const Verifier::Stats v = verifier_->stats();
     ledger.verify_active = true;

@@ -150,25 +150,17 @@ struct SystemConfig {
   std::uint64_t seed = 42;
 
   /// Sharded parallel event kernel: number of worker shards the receiver
-  /// population is partitioned across (see sim/sharded.hpp). 1 = the
-  /// classic single-threaded kernel, event-trajectory-identical to prior
-  /// versions; >1 runs the shards in parallel threads under a conservative
-  /// time-window barrier (deterministic for a fixed shard count, but a
-  /// different count yields a different — equally valid — trajectory).
-  /// Requires kDtvCarousel when >1.
+  /// population is partitioned across (see sim/sharded.hpp). 1 = one
+  /// shard on the calling thread; >1 runs the shards in parallel threads
+  /// under a conservative time-window barrier. Deterministic for a fixed
+  /// shard count, but a different count yields a different — equally
+  /// valid — trajectory. Requires kDtvCarousel when >1; at most
+  /// sim::ShardedSimulation::kMaxShards.
   std::size_t shards = 1;
   /// Conservative window width for shards > 1. Zero = auto: the minimum
   /// cross-shard delivery latency (receiver vs server propagation delay),
   /// capped at 5 ms so boundary clamping never exceeds the shortest wire.
   sim::SimTime window = sim::SimTime::zero();
-
-  /// Broadcast fan-out fast path: population-shared decoded control
-  /// messages with digest-memoized signature verification (one keyed hash
-  /// per broadcast instead of one per receiver) and pooled heartbeat
-  /// messages (zero steady-state allocation). Off = every agent decodes
-  /// and verifies independently — the pre-fast-path behaviour, kept as
-  /// the A/B baseline for benches and byte-identical determinism tests.
-  bool fanout_fast_path = true;
 
   /// Observability. Instrumentation counters are always live (they are
   /// plain increments); this controls the registry/sampler/tracer harness.
@@ -236,9 +228,9 @@ struct RunResult {
   /// keeps its "never ran" default.
   bool admitted = true;
   JobMetrics job;
-  /// Control-plane and traffic counter views, snapshotted at job end.
-  /// These mirror `metrics` (same registry cells) under the legacy field
-  /// names so existing callers compile unchanged.
+  /// Control-plane and traffic counters, read from the Controller's and
+  /// the network's stats() at job end. The only copy when
+  /// SystemConfig::obs.enabled is false.
   Controller::Stats controller;
   net::NetworkStats network;
   std::size_t final_instance_size = 0;
@@ -333,16 +325,6 @@ class OddciSystem {
   /// the auditor and tests use this.
   [[nodiscard]] obs::HealthLedger health_ledger() const;
 
-  /// Shard 0's fan-out fast-path components; nullptr when
-  /// SystemConfig::fanout_fast_path is false.
-  [[nodiscard]] const broadcast::VerifyCache* verify_cache() const {
-    return shards_.front().verify_cache.get();
-  }
-  [[nodiscard]] const net::MessagePool<HeartbeatMessage>* heartbeat_pool()
-      const {
-    return shards_.front().heartbeat_pool.get();
-  }
-
   /// Fault injector driving the configured fault plan; nullptr when
   /// SystemConfig::fault.enabled is false.
   [[nodiscard]] fault::FaultInjector* fault_injector() {
@@ -387,8 +369,9 @@ class OddciSystem {
     /// PNA recovery parameters and counters (env.recovery points here
     /// when fault injection is enabled).
     PnaEnvironment::Recovery recovery;
-    /// Fast-path components (only with config_.fanout_fast_path).
-    std::unique_ptr<broadcast::VerifyCache> verify_cache;
+    /// The shard's agents verify each broadcast once through this cache
+    /// and send heartbeats from this pool.
+    broadcast::VerifyCache verify_cache;
     std::unique_ptr<net::MessagePool<HeartbeatMessage>> heartbeat_pool;
     /// Flight-recorder ring (only with config_.obs.trace), id stream
     /// (s, K) so merged exports keep event ids disjoint.

@@ -119,15 +119,13 @@ void check_shards(const HealthLedger& l, HealthReport& out) {
   }
 }
 
-/// Pool acquire balance: the heartbeat fast path acquires exactly one
-/// message per emitted beat; reused+allocated must match.
+/// Pool acquire balance: every emitted beat acquires exactly one pooled
+/// message; reused+allocated must match.
 void check_pool(const HealthLedger& l, HealthReport& out) {
-  if (!l.pool_active) return;
-  if (l.pool_acquired != l.pool_expected) {
+  if (l.pool_acquired != l.heartbeats_emitted) {
     add_finding(out, HealthSeverity::kCritical, "pool.acquire_balance",
                 "pool acquired=" + u64(l.pool_acquired) +
-                    " != heartbeats through the pool=" +
-                    u64(l.pool_expected));
+                    " != heartbeats emitted=" + u64(l.heartbeats_emitted));
     return;
   }
   add_finding(out, HealthSeverity::kOk, "pool.acquire_balance",

@@ -85,10 +85,8 @@ struct HealthLedger {
   };
   std::vector<ShardEvents> shards;
 
-  // Heartbeat message-pool balance (fast path only).
-  bool pool_active = false;
+  // Heartbeat message-pool balance: one acquire per emitted heartbeat.
   std::uint64_t pool_acquired = 0;  ///< reused + allocated
-  std::uint64_t pool_expected = 0;  ///< heartbeats sent through the pool
 
   // Verified-execution result conservation (verify mode only). Every
   // dispatched replica must be accounted for: verified by a quorum,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/profiler.hpp"  // header-only recording; no link dependency
@@ -55,6 +56,11 @@ std::uint32_t spin_then_park(const std::atomic<std::uint32_t>& word,
 void ShardedSimulation::Options::validate() const {
   if (shards == 0) {
     throw std::invalid_argument("ShardedSimulation: need at least one shard");
+  }
+  if (shards > kMaxShards) {
+    throw std::invalid_argument("ShardedSimulation: shards " +
+                                std::to_string(shards) + " exceeds " +
+                                std::to_string(kMaxShards));
   }
   if (shards > 1 && window <= SimTime::zero()) {
     throw std::invalid_argument(

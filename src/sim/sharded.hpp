@@ -48,8 +48,14 @@ namespace oddci::sim {
 
 class ShardedSimulation {
  public:
+  /// Largest accepted shard count. The kernel allocates K² mailboxes and
+  /// starts K-1 threads, so a mistyped count (`shards=5000`) must fail in
+  /// validate() before anything is built; nothing here runs past K=8.
+  static constexpr std::size_t kMaxShards = 256;
+
   struct Options {
-    /// Number of shards (worker partitions). 1 = the classic kernel.
+    /// Number of shards (worker partitions), 1..kMaxShards. 1 runs the
+    /// lone shard on the calling thread.
     std::size_t shards = 1;
     /// Conservative window width. Must not exceed the minimum cross-shard
     /// delivery latency or boundary clamping will distort timing more

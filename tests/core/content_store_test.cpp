@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "broadcast/signature.hpp"
 #include "core/wire.hpp"
 
@@ -105,6 +110,70 @@ TEST(ContentStore, RemoveDropsBlob) {
   EXPECT_FALSE(store.remove(id));
   EXPECT_FALSE(store.get_control(id).has_value());
   EXPECT_EQ(store.size(), 0u);
+}
+
+// The shared, cached reader path must see exactly what a receiver decoding
+// and verifying the stored bytes on its own sees: the same message and the
+// same verdict, on the first (hashed) and the second (cached) ask.
+TEST(ContentStore, SharedReaderPathMatchesPerReaderDecodeAndVerify) {
+  constexpr broadcast::SigningKey kKey = 0xAB;
+  std::vector<std::pair<std::string, ControlMessage>> cases;
+
+  ControlMessage hello;  // the deployment hello: a reset naming no instance
+  hello.type = ControlType::kReset;
+  hello.probability = 0.0;
+  hello.controller_node = 1;
+  hello.sign_with(kKey);
+  cases.emplace_back("hello", hello);
+
+  ControlMessage wakeup;
+  wakeup.type = ControlType::kWakeup;
+  wakeup.instance = 7;
+  wakeup.probability = 0.25;
+  wakeup.image = {3, "image-3", util::Bits::from_megabytes(4)};
+  wakeup.controller_node = 1;
+  wakeup.backend_node = 2;
+  wakeup.aggregators = {10, 11, 12};
+  wakeup.trace = {0x5EED, 42};
+  wakeup.sign_with(kKey);
+  cases.emplace_back("wakeup", wakeup);
+
+  ControlMessage reset;
+  reset.type = ControlType::kReset;
+  reset.instance = 7;
+  reset.trace = {0x5EED, 43};
+  reset.sign_with(kKey);
+  cases.emplace_back("reset", reset);
+
+  // A signed field flipped after signing, as the control-corruption fault
+  // does on air.
+  ControlMessage tampered = wakeup;
+  tampered.probability = tampered.probability * 0.5 + 0.25;
+  cases.emplace_back("tampered", tampered);
+
+  ControlMessage foreign = wakeup;
+  foreign.sign_with(kKey + 1);
+  cases.emplace_back("wrong key", foreign);
+
+  ContentStore store;
+  broadcast::VerifyCache cache;
+  for (const auto& [name, message] : cases) {
+    SCOPED_TRACE(name);
+    const auto id = store.put_control(message);
+    const std::optional<ControlMessage> decoded = store.get_control(id);
+    const PreparedControlPtr prepared = store.get_control_shared(id);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_NE(prepared, nullptr);
+    EXPECT_EQ(prepared->message.canonical_bytes(), decoded->canonical_bytes());
+    EXPECT_EQ(prepared->message.signature, decoded->signature);
+    EXPECT_EQ(prepared->message.trace, decoded->trace);
+    const bool expected = decoded->verify_with(kKey);
+    EXPECT_EQ(prepared->verify_with(kKey, cache), expected);
+    EXPECT_EQ(prepared->verify_with(kKey, cache), expected);
+  }
+  // Every case asked twice: one hash, then one cache hit, per message.
+  EXPECT_EQ(cache.misses().value(), cases.size());
+  EXPECT_EQ(cache.hits().value(), cases.size());
 }
 
 }  // namespace

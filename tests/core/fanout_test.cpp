@@ -1,11 +1,12 @@
-// System-level contract of the broadcast fan-out fast path: a deployed
-// population shares one decoded, once-verified control message (the
-// acceptance criterion: `verify_cache.hit` == N-1 for N receivers handling
-// one broadcast), heartbeats are served from the pool once steady state
-// laps the ring, and turning the fast path off removes every fast-path
-// cell from the snapshot instead of leaving phantom zeros.
+// System-level contract of the broadcast fan-out: a deployed population
+// shares one decoded, once-verified control message per kernel shard (the
+// acceptance criterion: `verify_cache.hit` == N-K for N receivers on K
+// shards handling one broadcast), and every heartbeat is one acquire from
+// the shard's pool, served from the ring once steady state laps it.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/system.hpp"
 
@@ -24,27 +25,32 @@ SystemConfig fanout_config() {
   return config;
 }
 
-TEST(FanoutFastPath, BroadcastVerifiesOnceAcrossThePopulation) {
+class FanoutFastPath : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FanoutFastPath, BroadcastVerifiesOnceAcrossThePopulation) {
   SystemConfig config = fanout_config();
-  ASSERT_TRUE(config.fanout_fast_path);  // on by default
+  config.shards = GetParam();
   OddciSystem system(config);
-  ASSERT_NE(system.verify_cache(), nullptr);
-  ASSERT_NE(system.heartbeat_pool(), nullptr);
 
   // One broadcast: the PNA deployment hello, read by all 400 receivers.
   system.controller().deploy_pna();
-  system.simulation().run_until(sim::SimTime::from_minutes(10));
+  system.kernel().run_until(sim::SimTime::from_minutes(10));
 
   const auto snap = system.metrics_snapshot();
   const auto seen = snap.counter_value("pna.control_messages_seen");
   EXPECT_EQ(seen, config.receivers);
-  // Exactly one signature hash for the whole population...
-  EXPECT_EQ(snap.counter_value("verify_cache.miss"), 1u);
-  // ...and every other receiver was served from the cache: hits == N - 1.
-  EXPECT_EQ(snap.counter_value("verify_cache.hit"), seen - 1);
+  // Exactly one signature hash per shard's cache for the whole
+  // population...
+  EXPECT_EQ(snap.counter_value("verify_cache.miss"), config.shards);
+  // ...and every other receiver was served from its shard's cache.
+  EXPECT_EQ(snap.counter_value("verify_cache.hit"), seen - config.shards);
   EXPECT_EQ(snap.counter_value("pna.signature_failures", 0), 0u);
 
-  // Steady-state heartbeats recycle pooled messages instead of allocating.
+  // Every heartbeat is one pool acquire; steady state recycles pooled
+  // messages instead of allocating.
+  EXPECT_EQ(snap.counter_value("heartbeat.pool_reused") +
+                snap.counter_value("heartbeat.pool_allocated"),
+            snap.counter_value("pna.heartbeats_sent"));
   EXPECT_GT(snap.counter_value("heartbeat.pool_reused"), 0u);
   EXPECT_GT(snap.counter_value("heartbeat.pooled_bytes"), 0u);
   // The writer-reuse cell is registered (value depends on how many controls
@@ -52,30 +58,11 @@ TEST(FanoutFastPath, BroadcastVerifiesOnceAcrossThePopulation) {
   EXPECT_NE(snap.find_counter("wire.writer_reuse"), nullptr);
 }
 
-TEST(FanoutFastPath, OffModeRunsWithoutFastPathCells) {
-  SystemConfig config = fanout_config();
-  config.fanout_fast_path = false;
-  OddciSystem system(config);
-  EXPECT_EQ(system.verify_cache(), nullptr);
-  EXPECT_EQ(system.heartbeat_pool(), nullptr);
-
-  system.controller().deploy_pna();
-  system.simulation().run_until(sim::SimTime::from_minutes(10));
-
-  // The population still verifies (per receiver) and heartbeats normally.
-  const auto snap = system.metrics_snapshot();
-  EXPECT_EQ(snap.counter_value("pna.control_messages_seen"),
-            config.receivers);
-  EXPECT_EQ(snap.counter_value("pna.signature_failures", 0), 0u);
-
-  // No phantom zero cells: off-mode snapshots simply lack the fast-path
-  // counters rather than reporting them as zero.
-  EXPECT_EQ(snap.find_counter("verify_cache.hit"), nullptr);
-  EXPECT_EQ(snap.find_counter("verify_cache.miss"), nullptr);
-  EXPECT_EQ(snap.find_counter("heartbeat.pool_reused"), nullptr);
-  EXPECT_EQ(snap.find_counter("wire.writer_reuse"), nullptr);
-  EXPECT_EQ(snap.find_gauge("verify_cache.size"), nullptr);
-}
+INSTANTIATE_TEST_SUITE_P(ShardCounts, FanoutFastPath,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         [](const auto& shard_count) {
+                           return "K" + std::to_string(shard_count.param);
+                         });
 
 TEST(FanoutFastPath, DistinctBroadcastsEachCostOneHash) {
   // A second, different control message (an instance wakeup) must miss the

@@ -125,6 +125,8 @@ class PnaLiveness
   ScriptedBackend backend{net};
   obs::PnaCounters counters;
   obs::LogHistogram acquire_latency{1e-3};
+  broadcast::VerifyCache verify_cache;
+  net::MessagePool<HeartbeatMessage> heartbeat_pool;
   PnaEnvironment::Recovery recovery;
   PnaEnvironment env;
   dtv::XletRegistry registry;
@@ -135,6 +137,8 @@ class PnaLiveness
     env.trusted_key = kKey;
     env.counters = &counters;
     env.acquire_latency = &acquire_latency;
+    env.verify_cache = &verify_cache;
+    env.heartbeat_pool = &heartbeat_pool;
     env.task_poll_interval = sim::SimTime::from_seconds(20);
     registry.register_factory("oddci-pna", [this](dtv::Receiver&) {
       return std::make_unique<PnaXlet>(env, /*seed=*/77);

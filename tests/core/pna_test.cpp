@@ -101,6 +101,8 @@ struct PnaTest : ::testing::Test {
   PnaEnvironment env;
   obs::PnaCounters counters;
   obs::LogHistogram acquire_latency{1e-3};
+  broadcast::VerifyCache verify_cache;
+  net::MessagePool<HeartbeatMessage> heartbeat_pool;
   dtv::XletRegistry registry;
   std::unique_ptr<dtv::Receiver> receiver;
 
@@ -108,6 +110,8 @@ struct PnaTest : ::testing::Test {
     env.content_store = &store;
     env.counters = &counters;
     env.acquire_latency = &acquire_latency;
+    env.verify_cache = &verify_cache;
+    env.heartbeat_pool = &heartbeat_pool;
     env.trusted_key = kKey;
     env.task_poll_interval = sim::SimTime::from_seconds(5);
 
@@ -316,6 +320,15 @@ TEST_F(PnaTest, EnvironmentWithoutCountersRejected) {
   EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
   bad = env;
   bad.acquire_latency = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+}
+
+TEST_F(PnaTest, EnvironmentWithoutVerifyCacheOrPoolRejected) {
+  PnaEnvironment bad = env;
+  bad.verify_cache = nullptr;
+  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  bad = env;
+  bad.heartbeat_pool = nullptr;
   EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
 }
 

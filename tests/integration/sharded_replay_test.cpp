@@ -217,7 +217,7 @@ std::set<std::string> schema_of(const obs::MetricsSnapshot& m) {
 // conditionally registered group: paced heartbeats, faults with forgers,
 // verification, the return channel, churn and tracing.
 TEST(ShardedReplay, MetricSchemaIsTheSameAtEveryShardCount) {
-  const auto run = [](std::size_t shards, bool fast_path) {
+  const auto run = [](std::size_t shards) {
     SystemConfig config = scenario(shards);
     config.receivers = 4'000;
     config.heartbeat.paced = true;
@@ -231,7 +231,6 @@ TEST(ShardedReplay, MetricSchemaIsTheSameAtEveryShardCount) {
     config.fault.pna_crashes_per_hour = 10.0;
     config.fault.byzantine_forger_fraction = 0.05;
     config.verify.enabled = true;
-    config.fanout_fast_path = fast_path;
     OddciSystem system(config);
     const auto job = workload::make_uniform_job(
         "schema", util::Bits::from_megabytes(2), 60,
@@ -240,27 +239,22 @@ TEST(ShardedReplay, MetricSchemaIsTheSameAtEveryShardCount) {
         system.run_job(job, 30, sim::SimTime::from_hours(2)).metrics);
   };
 
-  for (const bool fast_path : {true, false}) {
-    SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
-    const std::set<std::string> one = run(1, fast_path);
-    for (const char* name :
-         {"counter pna.heartbeats_paced", "counter pna.results_forged",
-          "counter recovery.result_retries",
-          "counter net.uplink_queue_dropped",
-          "histogram pna.acquire_latency_seconds",
-          "series series.heartbeat_rate"}) {
-      EXPECT_EQ(one.count(name), 1u) << name;
-    }
-    EXPECT_EQ(one.count("counter verify_cache.hit"), fast_path ? 1u : 0u);
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      SCOPED_TRACE("K" + std::to_string(shards));
-      const std::set<std::string> many = run(shards, fast_path);
-      // The names only one side exports; empty when the schemas match.
-      std::vector<std::string> differ;
-      std::set_symmetric_difference(one.begin(), one.end(), many.begin(),
-                                    many.end(), std::back_inserter(differ));
-      EXPECT_EQ(differ, std::vector<std::string>{});
-    }
+  const std::set<std::string> one = run(1);
+  for (const char* name :
+       {"counter pna.heartbeats_paced", "counter pna.results_forged",
+        "counter recovery.result_retries", "counter net.uplink_queue_dropped",
+        "counter verify_cache.hit", "histogram pna.acquire_latency_seconds",
+        "series series.heartbeat_rate"}) {
+    EXPECT_EQ(one.count(name), 1u) << name;
+  }
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("K" + std::to_string(shards));
+    const std::set<std::string> many = run(shards);
+    // The names only one side exports; empty when the schemas match.
+    std::vector<std::string> differ;
+    std::set_symmetric_difference(one.begin(), one.end(), many.begin(),
+                                  many.end(), std::back_inserter(differ));
+    EXPECT_EQ(differ, std::vector<std::string>{});
   }
 }
 

@@ -158,9 +158,7 @@ HealthLedger clean_ledger() {
   ledger.heartbeats_received = 380;
   ledger.heartbeats_dropped = 2;  // 2 in flight
   ledger.shards.push_back({200, 150, 10, 40});
-  ledger.pool_active = true;
   ledger.pool_acquired = 400;
-  ledger.pool_expected = 400;
   return ledger;
 }
 
@@ -214,8 +212,6 @@ TEST(HealthAuditor, PoolImbalanceOnlyCountsWhenActive) {
   ledger.pool_acquired = 399;
   EXPECT_EQ(HealthAuditor::evaluate(ledger, 1.0, false).worst(),
             HealthSeverity::kCritical);
-  ledger.pool_active = false;
-  EXPECT_TRUE(HealthAuditor::evaluate(ledger, 1.0, false).ok());
 }
 
 TEST(HealthAuditor, SamplingRecordsTheFirstViolation) {

@@ -30,6 +30,18 @@ ShardedSimulation::Options opts(std::size_t shards, SimTime window) {
   return o;
 }
 
+// A mistyped shard count fails in validate(), before the kernel allocates
+// K² mailboxes or starts K-1 threads; validate() itself builds nothing.
+TEST(ShardedOptions, ShardCountAboveTheBoundIsRejected) {
+  ShardedSimulation::Options options;
+  options.shards = std::size_t{1} << 20;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
+  options.shards = ShardedSimulation::kMaxShards + 1;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
+  options.shards = ShardedSimulation::kMaxShards;
+  EXPECT_NO_THROW(options.validate());
+}
+
 TEST(ShardedBarrier, CrossShardPostsNeverExecuteInsideTheirSendWindow) {
   const SimTime w = SimTime::from_millis(5);
   ShardedSimulation kernel(opts(4, w));
