@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -102,16 +103,24 @@ void install_progress(core::OddciSystem& system, double every_s) {
       sim::SimTime::from_seconds(every_s));
 }
 
-/// A count or size read from `key`: negative values are rejected (cast to
-/// std::size_t they would wrap to 2^64-1 and fail far from the typo).
-std::size_t get_count(const util::Config& cfg, const std::string& key,
-                      long long fallback) {
+/// A count or size read from `key` into a `T`: negative values and values
+/// above T's maximum are rejected (cast to T they would wrap, and the run
+/// would go on with a different count from the one typed).
+template <typename T = std::size_t>
+T get_count(const util::Config& cfg, const std::string& key,
+            long long fallback) {
   const long long value = cfg.get_int(key, fallback);
   if (value < 0) {
     throw std::runtime_error(key + " must be >= 0, got " +
                              std::to_string(value));
   }
-  return static_cast<std::size_t>(value);
+  constexpr auto kMax =
+      static_cast<unsigned long long>(std::numeric_limits<T>::max());
+  if (static_cast<unsigned long long>(value) > kMax) {
+    throw std::runtime_error(key + " must be <= " + std::to_string(kMax) +
+                             ", got " + std::to_string(value));
+  }
+  return static_cast<T>(value);
 }
 
 core::SystemConfig system_config(const util::Config& cfg) {
@@ -153,7 +162,7 @@ core::SystemConfig system_config(const util::Config& cfg) {
     throw std::runtime_error("heartbeat_mode must be 'naive' or 'delta'");
   }
   config.heartbeat.resync_every =
-      static_cast<std::uint32_t>(get_count(cfg, "resync_every", 30));
+      get_count<std::uint32_t>(cfg, "resync_every", 30);
   const double expiry_s = cfg.get_double("heartbeat_expiry_s", 0.0);
   if (expiry_s > 0.0) {
     config.heartbeat.expiry = sim::SimTime::from_seconds(expiry_s);
@@ -271,13 +280,13 @@ core::SystemConfig system_config(const util::Config& cfg) {
     f.corrupt_exposure = sim::SimTime::from_seconds(
         cfg.get_double("fault_corrupt_exposure_s", 2.0));
     f.result_retry_limit =
-        static_cast<int>(get_count(cfg, "fault_result_retry_limit", 4));
+        get_count<int>(cfg, "fault_result_retry_limit", 4);
     f.result_retry_base = sim::SimTime::from_seconds(
         cfg.get_double("fault_result_retry_s", 2.0));
     f.request_watchdog = sim::SimTime::from_seconds(
         cfg.get_double("fault_request_watchdog_s", 45.0));
     f.task_retry_cap =
-        static_cast<int>(get_count(cfg, "fault_task_retry_cap", 16));
+        get_count<int>(cfg, "fault_task_retry_cap", 16);
     f.aggregator_failover_timeout = sim::SimTime::from_seconds(
         cfg.get_double("fault_failover_s", 60.0));
     // Byzantine adversary profiles (require fault=1): seeded fractions of
@@ -287,7 +296,7 @@ core::SystemConfig system_config(const util::Config& cfg) {
     f.byzantine_freerider_fraction =
         cfg.get_double("byzantine_freeriders", 0.0);
     f.byzantine_collusion_size =
-        static_cast<std::uint32_t>(get_count(cfg, "byzantine_collusion", 0));
+        get_count<std::uint32_t>(cfg, "byzantine_collusion", 0);
   }
 
   // Backend-side Byzantine defense: redundant dispatch + quorum voting,
@@ -297,16 +306,16 @@ core::SystemConfig system_config(const util::Config& cfg) {
     core::VerifyOptions& v = config.verify;
     v.enabled = true;
     v.redundancy =
-        static_cast<std::uint32_t>(get_count(cfg, "verify_redundancy", 2));
-    v.trusted_redundancy = static_cast<std::uint32_t>(
-        get_count(cfg, "verify_trusted_redundancy", 1));
-    v.max_redundancy = static_cast<std::uint32_t>(
-        get_count(cfg, "verify_max_redundancy", 5));
+        get_count<std::uint32_t>(cfg, "verify_redundancy", 2);
+    v.trusted_redundancy =
+        get_count<std::uint32_t>(cfg, "verify_trusted_redundancy", 1);
+    v.max_redundancy =
+        get_count<std::uint32_t>(cfg, "verify_max_redundancy", 5);
     v.spot_check_rate = cfg.get_double("verify_spot_rate", 0.05);
     v.quarantine_spot_boost =
         cfg.get_double("verify_quarantine_boost", 4.0);
-    v.parole_failure_limit = static_cast<std::uint32_t>(
-        get_count(cfg, "verify_parole_failure_limit", 4));
+    v.parole_failure_limit =
+        get_count<std::uint32_t>(cfg, "verify_parole_failure_limit", 4);
     v.implausible_speedup =
         cfg.get_double("verify_implausible_speedup", 64.0);
     v.eager_replicas = cfg.get_bool("verify_eager", false);
@@ -315,10 +324,10 @@ core::SystemConfig system_config(const util::Config& cfg) {
     v.quarantine_below =
         cfg.get_double("reputation_quarantine_below", 0.25);
     v.trusted_above = cfg.get_double("reputation_trusted_above", 0.9);
-    v.min_observations = static_cast<std::uint32_t>(
-        get_count(cfg, "reputation_min_observations", 8));
-    v.parole_checks = static_cast<std::uint32_t>(
-        get_count(cfg, "reputation_parole_checks", 3));
+    v.min_observations =
+        get_count<std::uint32_t>(cfg, "reputation_min_observations", 8);
+    v.parole_checks =
+        get_count<std::uint32_t>(cfg, "reputation_parole_checks", 3);
     v.seed = static_cast<std::uint64_t>(cfg.get_int("verify_seed", 0));
   }
   return config;

@@ -37,12 +37,32 @@ HeartbeatAggregator::HeartbeatAggregator(sim::Simulation& simulation,
 HeartbeatAggregator::~HeartbeatAggregator() { reporter_.cancel(); }
 
 void HeartbeatAggregator::set_shard(std::uint64_t stride,
-                                    std::uint64_t phase) {
+                                    std::uint64_t phase,
+                                    std::uint64_t id_bound) {
   if (stride == 0 || phase >= stride) {
     throw std::invalid_argument("HeartbeatAggregator: bad shard");
   }
   shard_stride_ = stride;
   shard_phase_ = phase;
+  // Slots of the ids below the bound: one exact allocation instead of a
+  // doubling vector.
+  const std::uint64_t slots = id_bound > phase
+                                  ? (id_bound - 1 - phase) / stride + 1
+                                  : 0;
+  if (options_.mode == HeartbeatMode::kDelta) {
+    ledger_.reserve(slots);
+  } else {
+    dense_.reserve(slots);
+  }
+}
+
+void HeartbeatAggregator::next_window() {
+  if (++epoch_ == 0) {
+    // Wrapped (after 2^32 windows): restamp so no cell aliases the new
+    // window.
+    for (DenseRecord& cell : dense_) cell.epoch = 0;
+    epoch_ = 1;
+  }
 }
 
 void HeartbeatAggregator::on_message(net::NodeId /*from*/,
@@ -74,7 +94,9 @@ void HeartbeatAggregator::on_message(net::NodeId /*from*/,
     cell.epoch = epoch_;
     touched_.push_back(slot);
   }
-  cell.rec = Record{hb.state(), hb.instance(), hb.trace()};
+  cell.state = hb.state();
+  cell.instance = hb.instance();
+  cell.trace = hb.trace();
 }
 
 void HeartbeatAggregator::ledger_note(std::uint32_t slot,
@@ -121,12 +143,12 @@ void HeartbeatAggregator::flush() {
   entries.reserve(window_size());
   // Slots flush in arrival order (deterministic).
   for (const std::uint32_t slot : touched_) {
-    const Record& rec = dense_[slot].rec;
+    const DenseRecord& rec = dense_[slot];
     entries.push_back({slot * shard_stride_ + shard_phase_, rec.state,
                        rec.instance, rec.trace});
   }
   touched_.clear();
-  ++epoch_;  // every cell is now logically outside the window
+  next_window();
   if (recorder_ != nullptr) {
     recorder_->emit(simulation_.now(), obs::TraceEventKind::kAggregateFlush,
                     obs::TraceComponent::kAggregator, {}, node_id_,
@@ -243,7 +265,7 @@ void HeartbeatAggregator::crash() {
   // restarted process has no memory of who it covered, which is exactly
   // why its first frame back is a (possibly empty) resync.
   touched_.clear();
-  ++epoch_;
+  next_window();
   clear_ledger();
 }
 

@@ -64,11 +64,13 @@ class HeartbeatAggregator final : public net::Endpoint {
   /// control message's aggregator list; the default, stride 1, serves
   /// every id). PNA ids are node ids, which the network hands out
   /// contiguously, so each id maps to the slot `pna_id / stride` of a flat
-  /// table bounded by the population. Agents of a failed-over slot
-  /// re-home to the Controller, never to another aggregator, so a
-  /// heartbeat from outside the shard is a routing bug: on_message throws
-  /// std::logic_error.
-  void set_shard(std::uint64_t stride, std::uint64_t phase);
+  /// table bounded by the population: ids stay below `id_bound`, and the
+  /// mode's table is sized for that once (0 = unknown; the table grows as
+  /// ids are heard). Agents of a failed-over slot re-home to the
+  /// Controller, never to another aggregator, so a heartbeat from outside
+  /// the shard is a routing bug: on_message throws std::logic_error.
+  void set_shard(std::uint64_t stride, std::uint64_t phase,
+                 std::uint64_t id_bound = 0);
 
   /// Re-point the upstream hop (defaults to the Controller passed at
   /// construction); the relay tier points leaf aggregators at their relay.
@@ -125,25 +127,25 @@ class HeartbeatAggregator final : public net::Endpoint {
   AggregatorOptions options_;
   net::NodeId node_id_ = net::kInvalidNode;
 
-  struct Record {
+  /// Window cell, 32 bytes: the latest state heard in the window.
+  /// Membership in the *current* window is an epoch stamp (in the padding
+  /// after `state`), so flush never clears the vector — it bumps `epoch_`
+  /// and the whole window is logically empty again.
+  struct DenseRecord {
     PnaState state = PnaState::kIdle;
+    std::uint32_t epoch = 0;
     InstanceId instance = kNoInstance;
     obs::TraceContext trace;  ///< context of the consolidated heartbeat
   };
-
-  /// Window cell. Membership in the *current* window is an epoch
-  /// stamp, so flush never clears the vector — it bumps `epoch_` and the
-  /// whole window is logically empty again.
-  struct DenseRecord {
-    Record rec;
-    std::uint64_t epoch = 0;
-  };
+  static_assert(sizeof(DenseRecord) == 32, "window cell is half a line");
 
   [[nodiscard]] std::size_t window_size() const { return touched_.size(); }
+  /// Start a new window: every cell falls outside it.
+  void next_window();
 
   std::uint64_t shard_stride_ = 1;
   std::uint64_t shard_phase_ = 0;
-  std::uint64_t epoch_ = 1;
+  std::uint32_t epoch_ = 1;
   /// Latest state per slot; `touched_` lists this window's live slots in
   /// arrival order (deterministic flush order without a scan).
   std::vector<DenseRecord> dense_;
@@ -153,12 +155,13 @@ class HeartbeatAggregator final : public net::Endpoint {
   /// naive window structures above stay untouched in delta mode).
   struct LedgerRecord {
     PnaState state = PnaState::kIdle;
+    bool known = false;
+    bool dirty = false;  ///< has an unreported change this window
     InstanceId instance = kNoInstance;
     obs::TraceContext trace;
     sim::SimTime last_seen;
-    bool known = false;
-    bool dirty = false;  ///< has an unreported change this window
   };
+  static_assert(sizeof(LedgerRecord) <= 40, "ledger record is five words");
   std::vector<LedgerRecord> ledger_;           ///< slot -> record
   std::vector<std::uint32_t> ledger_order_;    ///< known slots, first-seen order
   std::vector<std::uint32_t> ledger_dirty_;    ///< dirty slots, arrival order

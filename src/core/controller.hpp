@@ -112,6 +112,11 @@ class Controller final : public net::Endpoint {
   [[nodiscard]] broadcast::SigningKey signing_key() const { return key_; }
   [[nodiscard]] sim::Simulation& simulation() const { return simulation_; }
 
+  /// Size the PNA directory once for ids below `id_bound` (node ids are
+  /// contiguous, so the network's endpoint count bounds them); without it
+  /// the table grows by doubling as higher ids are heard.
+  void reserve_pnas(std::size_t id_bound) { pna_dense_.reserve(id_bound); }
+
   /// Route PNA heartbeats through an aggregation tier: the node list is
   /// included in every subsequent control message, and each agent reports
   /// to aggregators[pna_id % size]. Must be called before deploy_pna() so
@@ -328,6 +333,7 @@ class Controller final : public net::Endpoint {
     /// (mark-and-sweep slice replacement).
     std::uint32_t resync_mark = 0;
   };
+  static_assert(sizeof(PnaRecord) == 32, "PNA record is half a line");
 
   /// Record for `id`, creating it if unseen. second = newly created.
   std::pair<PnaRecord&, bool> ensure_pna(std::uint64_t id);
@@ -465,7 +471,7 @@ class Controller final : public net::Endpoint {
   std::unordered_map<InstanceId, Instance> instances_;
   /// PNA directory, a flat table indexed by PNA id. Ids are node ids,
   /// which the network hands out contiguously, so the table never grows
-  /// past the population — 24 bytes per agent, no hash node per agent.
+  /// past the population — 32 bytes per agent, no hash node per agent.
   std::vector<PnaRecord> pna_dense_;
   std::size_t pnas_known_ = 0;
   /// Default staleness window for idle-pool estimation (set from the most

@@ -157,8 +157,9 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
           ? (config_.aggregators + config_.heartbeat.tree_fanin - 1) /
                 config_.heartbeat.tree_fanin
           : 0;
-  network_->reserve_endpoints(config_.receivers + config_.aggregators +
-                              relay_count + 2);
+  const std::size_t endpoint_bound =
+      config_.receivers + config_.aggregators + relay_count + 2;
+  network_->reserve_endpoints(endpoint_bound);
   store_ = std::make_unique<ContentStore>();
   // The store's mutex exists only for window threads.
   store_->set_concurrent(K > 1);
@@ -220,6 +221,9 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   controller_ = std::make_unique<Controller>(*simulation_, *network_,
                                              std::move(channel_ptrs), *store_,
                                              key_, controller_link, copts);
+  // PNA ids are node ids, all below the endpoint bound: size the
+  // Controller's directory and each aggregator's table once.
+  controller_->reserve_pnas(endpoint_bound);
 
   if (config_.aggregators > 0) {
     // Constrained return channel: the tier's access links get finite
@@ -278,7 +282,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       // Agents pick aggregators[pna_id % k], so aggregator `a` only ever
       // hears ids congruent to a (mod k) — declare that shard so its
       // window is a dense vector instead of a hash map.
-      aggregators_.back()->set_shard(config_.aggregators, a);
+      aggregators_.back()->set_shard(config_.aggregators, a, endpoint_bound);
       if (!relays_.empty()) {
         aggregators_.back()->set_upstream(
             relays_[a / config_.heartbeat.tree_fanin]->node_id());
@@ -352,12 +356,14 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     shard.loss_rng = util::Random(loss_seeds.next());
     // The ring must outlast the in-flight window or acquires find their
     // slot still referenced and fall back to allocation: heartbeats live
-    // ~tens of milliseconds (delivery + aggregator handling), so size the
-    // lap time well past that at population beat rates.
+    // ~tens of milliseconds (delivery + aggregator handling), a few hundred
+    // beats at a million receivers, so a lap of 1/128 of the shard's
+    // population clears them. The floor covers the beats queued behind
+    // task traffic on busy uplinks (a 1,024-slot ring missed there).
     shard.heartbeat_pool =
         std::make_unique<net::MessagePool<HeartbeatMessage>>(
-            std::clamp<std::size_t>(config_.receivers / K / 8, 4096,
-                                    1u << 17));
+            std::clamp<std::size_t>(config_.receivers / K / 128, 4096,
+                                    1u << 14));
     shard.env.verify_cache = &shard.verify_cache;
     shard.env.heartbeat_pool = shard.heartbeat_pool.get();
   }

@@ -36,9 +36,25 @@ NodeId Network::register_endpoint(Endpoint* endpoint, const LinkSpec& spec) {
   }
   const auto id = static_cast<NodeId>(nodes_.size());
   sim::Simulation& home = sim_of(register_shard_);
-  nodes_.push_back(Node{endpoint, spec, home.now(), home.now()});
+  nodes_.push_back(Node{endpoint, home.now(), home.now(), intern_spec(spec)});
   node_shards_.push_back(register_shard_);
   return id;
+}
+
+std::uint32_t Network::intern_spec(const LinkSpec& spec) {
+  const auto same = [&spec](const LinkSpec& s) {
+    return s.uplink.bps() == spec.uplink.bps() &&
+           s.downlink.bps() == spec.downlink.bps() &&
+           s.latency == spec.latency && s.uplink_queue == spec.uplink_queue &&
+           s.downlink_queue == spec.downlink_queue;
+  };
+  // Registrations come in runs of one spec (the population, then the
+  // tier), so the last entry is checked first.
+  for (std::size_t i = specs_.size(); i-- > 0;) {
+    if (same(specs_[i])) return static_cast<std::uint32_t>(i);
+  }
+  specs_.push_back(spec);
+  return static_cast<std::uint32_t>(specs_.size() - 1);
 }
 
 Network::Node& Network::node_at(NodeId id) {
@@ -172,8 +188,9 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   // consumes serialization time or bits, and the interposer never sees it
   // (the loss happens at the sender, upstream of the wire). Deterministic:
   // no randomness, purely a function of the busy window.
-  if (src.spec.uplink_queue > sim::SimTime::zero() &&
-      src.uplink_busy_until - ssim.now() > src.spec.uplink_queue) {
+  const LinkSpec& src_spec = spec_of(src);
+  if (src_spec.uplink_queue > sim::SimTime::zero() &&
+      src.uplink_busy_until - ssim.now() > src_spec.uplink_queue) {
     ++cells.uplink_queue_dropped;
     if (tracked_tag_ >= 0 && message->tag() == tracked_tag_) {
       ++cells.tracked_uplink_queue_dropped;
@@ -197,7 +214,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   // Serialize on the sender's uplink (FIFO). This happens even for a
   // dropped message: the sender transmitted it; the loss is downstream.
   const double tx_up =
-      util::transmission_seconds(message->wire_size(), src.spec.uplink);
+      util::transmission_seconds(message->wire_size(), src_spec.uplink);
   const sim::SimTime start = std::max(ssim.now(), src.uplink_busy_until);
   const sim::SimTime departed = start + sim::SimTime::from_seconds(tx_up);
   src.uplink_busy_until = departed;
@@ -205,7 +222,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   if (action.drop) return;
 
   const sim::SimTime arrival_at_edge =
-      departed + src.spec.latency + action.extra_latency;
+      departed + src_spec.latency + action.extra_latency;
   if (action.duplicate) {
     schedule_arrival(arrival_at_edge, from, to, message);
   }
@@ -245,8 +262,9 @@ void Network::arrive(NodeId from, NodeId to, std::uint32_t dst_shard,
   // Bounded downlink queue: shed at edge arrival when the receiver's
   // committed backlog exceeds the cap (the message crossed the wire but
   // the access queue is full — classic tail drop).
-  if (dst.spec.downlink_queue > sim::SimTime::zero() &&
-      dst.downlink_busy_until - dsim.now() > dst.spec.downlink_queue) {
+  const LinkSpec& dst_spec = spec_of(dst);
+  if (dst_spec.downlink_queue > sim::SimTime::zero() &&
+      dst.downlink_busy_until - dsim.now() > dst_spec.downlink_queue) {
     ++cells_[dst_shard].downlink_queue_dropped;
     if (tracked_tag_ >= 0 && message->tag() == tracked_tag_) {
       ++cells_[dst_shard].tracked_downlink_queue_dropped;
@@ -260,7 +278,7 @@ void Network::arrive(NodeId from, NodeId to, std::uint32_t dst_shard,
     return;
   }
   const double tx_down =
-      util::transmission_seconds(message->wire_size(), dst.spec.downlink);
+      util::transmission_seconds(message->wire_size(), dst_spec.downlink);
   const sim::SimTime begin = std::max(dsim.now(), dst.downlink_busy_until);
   const sim::SimTime done = begin + sim::SimTime::from_seconds(tx_down);
   dst.downlink_busy_until = done;

@@ -112,15 +112,16 @@ class Network {
   }
 
   /// Pre-size the endpoint table. Building a million-receiver population
-  /// registers endpoints one by one; without a hint the per-node link state
-  /// is copied O(log n) times as the vector regrows.
+  /// registers endpoints one by one; without a hint the per-node state is
+  /// copied O(log n) times as the vector regrows.
   void reserve_endpoints(std::size_t capacity) {
     nodes_.reserve(capacity);
     node_shards_.reserve(capacity);
   }
 
   /// Register an endpoint. The pointer must outlive the Network or be
-  /// detached with `unregister_endpoint`.
+  /// detached with `unregister_endpoint`. Endpoints with equal specs share
+  /// one entry of the network's spec table.
   NodeId register_endpoint(Endpoint* endpoint, const LinkSpec& spec);
 
   /// Detach an endpoint; in-flight messages to it are dropped on arrival.
@@ -180,12 +181,15 @@ class Network {
   [[nodiscard]] double downlink_backlog_seconds(NodeId node) const;
 
  private:
+  /// 32 bytes per endpoint: the link spec is an index into `specs_`
+  /// (a population shares a handful of distinct specs).
   struct Node {
     Endpoint* endpoint = nullptr;  // nullptr while detached
-    LinkSpec spec;
     sim::SimTime uplink_busy_until;
     sim::SimTime downlink_busy_until;
+    std::uint32_t spec = 0;
   };
+  static_assert(sizeof(Node) <= 32, "Network::Node is per-receiver state");
 
   /// Per-shard traffic counters, cache-line padded: sent/bits belong to the
   /// sending shard, delivered/dropped to the receiving one.
@@ -204,6 +208,11 @@ class Network {
 
   Node& node_at(NodeId id);
   [[nodiscard]] const Node& node_at(NodeId id) const;
+  [[nodiscard]] const LinkSpec& spec_of(const Node& node) const {
+    return specs_[node.spec];
+  }
+  /// Index of `spec` in `specs_`, appending it if no equal spec exists.
+  std::uint32_t intern_spec(const LinkSpec& spec);
 
   [[nodiscard]] sim::Simulation& sim_of(std::uint32_t shard) {
     return sharded_ != nullptr ? sharded_->shard(shard) : simulation_;
@@ -220,6 +229,8 @@ class Network {
   sim::ShardedSimulation* sharded_ = nullptr;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> node_shards_;
+  /// Distinct link specs, in first-registration order.
+  std::vector<LinkSpec> specs_;
   std::uint32_t register_shard_ = 0;
   std::vector<ShardCells> cells_;
   std::vector<obs::FlightRecorder*> recorders_;

@@ -8,12 +8,16 @@
 
 /// Pooled-event building blocks for the simulation kernel.
 ///
-/// `EventFn` is the kernel's callback type: a move-only, type-erased
-/// callable with inline storage for captures up to `kInlineSize` bytes.
-/// Every hot-path event in the system (network delivery, heartbeat tick,
-/// carousel acquisition, execution completion) fits in the inline buffer,
-/// so scheduling performs zero heap allocations in the common case; larger
-/// or throwing-move callables fall back to the heap transparently.
+/// `BasicEventFn<N>` is the kernel's callback type: a move-only,
+/// type-erased callable with inline storage for captures up to N bytes,
+/// plus one pointer to its operations. Two sizes exist. `EventFn` (56 B
+/// inline, one 64-B cache line) fills an event-slab slot: every hot-path
+/// event (network delivery, carousel acquisition, execution completion)
+/// fits, so scheduling performs zero heap allocations in the common case.
+/// `TimerFn` (24 B inline, 32 B in all) leaves a 64-B wheel timer room for
+/// its metadata; the per-receiver timers (heartbeat, guarded PNA timers,
+/// announcement fan-out) fit it. Larger or throwing-move callables fall
+/// back to the heap transparently.
 namespace oddci::sim {
 
 /// Handle to a pending one-shot event. Encodes `(generation << 32 | slot)`
@@ -38,24 +42,40 @@ enum class EventPriority : int {
   kTimer = 20,
 };
 
-class EventFn {
- public:
-  /// Inline capture capacity. Sized so `[this, token, std::function]`
-  /// (8 + 8 + 32 bytes) and every kernel-internal capture stay inline.
-  static constexpr std::size_t kInlineSize = 56;
+template <std::size_t kInline>
+class BasicEventFn;
 
-  EventFn() = default;
-  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+template <typename F>
+inline constexpr bool kIsBasicEventFn = false;
+template <std::size_t N>
+inline constexpr bool kIsBasicEventFn<BasicEventFn<N>> = true;
+
+template <std::size_t kInline>
+class BasicEventFn {
+ public:
+  /// Inline capture capacity.
+  static constexpr std::size_t kInlineSize = kInline;
+
+  /// Whether a callable of type F is stored inline (no heap allocation).
+  template <typename F>
+  static constexpr bool kStoresInline =
+      sizeof(std::decay_t<F>) <= kInlineSize &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
+  BasicEventFn() = default;
+  BasicEventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
+                !std::is_same_v<std::decay_t<F>, BasicEventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
+  BasicEventFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (kIsBasicEventFn<D>) {
+      if (!f) return;  // another size's empty callback stays empty
+    }
+    if constexpr (kStoresInline<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {
@@ -64,17 +84,17 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { adopt(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
+  BasicEventFn(BasicEventFn&& other) noexcept { adopt(other); }
+  BasicEventFn& operator=(BasicEventFn&& other) noexcept {
     if (this != &other) {
       reset();
       adopt(other);
     }
     return *this;
   }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
+  BasicEventFn(const BasicEventFn&) = delete;
+  BasicEventFn& operator=(const BasicEventFn&) = delete;
+  ~BasicEventFn() { reset(); }
 
   void operator()() { ops_->invoke(storage_); }
 
@@ -115,7 +135,7 @@ class EventFn {
       [](void* s) { delete *std::launder(reinterpret_cast<D**>(s)); },
   };
 
-  void adopt(EventFn& other) noexcept {
+  void adopt(BasicEventFn& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
       ops_->relocate(storage_, other.storage_);
@@ -126,5 +146,15 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+/// Event-slab callback. Sized so `[this, token, std::function]`
+/// (8 + 8 + 32 bytes) and every kernel-internal capture stay inline.
+using EventFn = BasicEventFn<56>;
+/// Timer-wheel callback: `[this, id, generation]` and
+/// `[context, generation, [this]]` (three words) stay inline.
+using TimerFn = BasicEventFn<24>;
+
+static_assert(sizeof(EventFn) == 64, "EventFn fills one cache line");
+static_assert(sizeof(TimerFn) == 32, "TimerFn is half a cache line");
 
 }  // namespace oddci::sim

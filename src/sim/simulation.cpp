@@ -57,25 +57,22 @@ EventId Simulation::schedule_at(SimTime t, Callback cb,
   if (!cb) {
     throw std::invalid_argument("Simulation: empty callback");
   }
-
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  const auto p = static_cast<int>(priority);
+  if (p < -128 || p > 127) {
+    throw std::invalid_argument("Simulation: priority outside [-128, 127]");
   }
-  EventSlot& slot = slots_[index];
-  slot.fn = std::move(cb);
-  slot.live = true;
+  if (next_seq_ >> kSeqBits != 0) {
+    throw std::overflow_error("Simulation: event sequence exhausted");
+  }
 
+  const std::uint32_t index = slots_.emplace(std::move(cb));
   const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Entry{t, seq, index, slot.generation,
-                        static_cast<std::int32_t>(priority)});
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(p + 128) << kSeqBits) | seq;
+  heap_.push_back(Entry{t, key, index, slots_.generation(index)});
   std::push_heap(heap_.begin(), heap_.end());
   ++live_events_;
-  return (static_cast<EventId>(slot.generation) << 32) | index;
+  return slots_.id(index);
 }
 
 EventId Simulation::schedule_in(SimTime delay, Callback cb,
@@ -86,23 +83,11 @@ EventId Simulation::schedule_in(SimTime delay, Callback cb,
   return schedule_at(now_ + delay, std::move(cb), priority);
 }
 
-void Simulation::free_slot(std::uint32_t index) {
-  EventSlot& slot = slots_[index];
-  slot.fn.reset();
-  slot.live = false;
-  ++slot.generation;
-  free_.push_back(index);
-}
-
 bool Simulation::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (index >= slots_.size()) return false;
-  EventSlot& slot = slots_[index];
-  if (!slot.live || slot.generation != generation) return false;
+  if (!slots_.contains(id)) return false;
   // The heap entry stays behind as a tombstone and is skimmed lazily when
   // it reaches the top; the callback's resources are released now.
-  free_slot(index);
+  slots_.erase(SlotPool<EventSlot>::index_of(id));
   --live_events_;
   ++events_cancelled_;
   return true;
@@ -124,8 +109,8 @@ EventFn Simulation::take_top(Entry& out) {
   // Move the callback out and recycle the slot *before* invoking, so the
   // callback may freely schedule new events (which may reuse the slot) and
   // a self-cancel attempt correctly reports false.
-  EventFn fn = std::move(slots_[out.slot].fn);
-  free_slot(out.slot);
+  EventFn fn = std::move(slots_[out.slot]);
+  slots_.erase(out.slot);
   --live_events_;
   return fn;
 }
@@ -186,14 +171,11 @@ SimTime Simulation::next_event_time() {
   return heap_.front().time;
 }
 
-PeriodicTask::PeriodicTask(Simulation& simulation, SimTime start,
-                           SimTime period, EventFn on_tick)
-    : simulation_(&simulation) {
+SimTime PeriodicTask::positive(SimTime period) {
   if (period <= SimTime::zero()) {
     throw std::invalid_argument("PeriodicTask: period must be positive");
   }
-  id_ = simulation.schedule_timer_at(start, std::move(on_tick), period,
-                                     EventPriority::kTimer);
+  return period;
 }
 
 PeriodicTask::PeriodicTask(PeriodicTask&& other) noexcept

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_wheel.hpp"
 
@@ -14,12 +16,13 @@
 /// first on explicit priority (lower runs first), then on scheduling order,
 /// so a fixed seed replays the exact same trajectory.
 ///
-/// Engineered for million-node populations: callbacks live in a
-/// slab-allocated pool of `EventFn` slots (inline storage, no heap
-/// allocation for common captures), `cancel()` is an O(1) generation check
-/// with lazy heap deletion, and recurring work (heartbeats, monitor loops,
-/// churn arrivals) goes through a hierarchical timer wheel instead of
-/// churning the heap. See timer_wheel.hpp for the wheel's ordering caveat.
+/// Engineered for million-node populations: callbacks live in a chunked
+/// pool of 64-byte `EventFn` slots (inline storage, no heap allocation for
+/// common captures, growth without copies), the heap holds 24-byte entries,
+/// `cancel()` is an O(1) generation check with lazy heap deletion, and
+/// recurring work (heartbeats, monitor loops, churn arrivals) goes through
+/// a hierarchical timer wheel instead of churning the heap. See
+/// timer_wheel.hpp for the wheel's ordering caveat.
 namespace oddci::obs {
 class KernelProfiler;
 }  // namespace oddci::obs
@@ -38,7 +41,8 @@ class Simulation {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `cb` at absolute time `t` (must be >= now()).
-  /// Throws std::invalid_argument on scheduling into the past.
+  /// Throws std::invalid_argument on scheduling into the past or on a
+  /// priority outside [-128, 127].
   EventId schedule_at(SimTime t, Callback cb,
                       EventPriority priority = EventPriority::kDefault);
 
@@ -53,16 +57,21 @@ class Simulation {
   /// One-shot or periodic timer via the hierarchical wheel: O(1) insert
   /// and re-arm regardless of population size. Use for delays of seconds
   /// and beyond or for recurring work; exact-time deliveries on the hot
-  /// path should stay on schedule_at/schedule_in.
-  TimerId schedule_timer_at(SimTime deadline, EventFn fn,
+  /// path should stay on schedule_at/schedule_in. `fn` is built in place
+  /// in the timer (TimerFn: up to 24 bytes of capture stay inline).
+  template <typename F>
+  TimerId schedule_timer_at(SimTime deadline, F&& fn,
                             SimTime period = SimTime::zero(),
                             EventPriority priority = EventPriority::kTimer) {
-    return wheel_->schedule_at(deadline, std::move(fn), period, priority);
+    return wheel_->schedule_at(deadline, std::forward<F>(fn), period,
+                               priority);
   }
-  TimerId schedule_timer_in(SimTime delay, EventFn fn,
+  template <typename F>
+  TimerId schedule_timer_in(SimTime delay, F&& fn,
                             SimTime period = SimTime::zero(),
                             EventPriority priority = EventPriority::kTimer) {
-    return wheel_->schedule_in(delay, std::move(fn), period, priority);
+    return wheel_->schedule_in(delay, std::forward<F>(fn), period,
+                               priority);
   }
   bool cancel_timer(TimerId id) { return wheel_->cancel(id); }
   [[nodiscard]] bool timer_active(TimerId id) const {
@@ -109,6 +118,11 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_cancelled() const {
     return events_cancelled_;
   }
+  /// Heap blocks holding event and timer slots (SlotPool chunks): the
+  /// kernel's only allocations that grow with the population.
+  [[nodiscard]] std::size_t slab_chunks() const {
+    return slots_.chunks() + wheel_->slab_chunks();
+  }
 
   /// Attach a wall-clock profiler: run()/run_until()/run_window() bodies
   /// are attributed to `shard`'s execute phase (two steady_clock reads per
@@ -120,35 +134,38 @@ class Simulation {
   }
 
  private:
-  /// Pooled callback slot. `generation` tags EventIds so stale handles
-  /// (executed/cancelled, slot possibly reused) are rejected in O(1).
-  struct EventSlot {
-    EventFn fn;
-    std::uint32_t generation = 1;
-    bool live = false;
-  };
+  friend class TimerWheel;
 
-  /// Heap entry; cancelled events leave a tombstone that is dropped lazily
-  /// when it reaches the top (its slot generation no longer matches).
+  /// Pooled callback slot: the 64-byte callback alone. Its generation (odd
+  /// while pending) lives in the pool's dense side array, so skimming a
+  /// tombstone reads 4 bytes, not the slot.
+  using EventSlot = EventFn;
+  static_assert(sizeof(EventSlot) == 64, "EventSlot fills one cache line");
+
+  /// Heap entry, 24 bytes. `key` packs the priority above the scheduling
+  /// sequence, (priority + 128) << 56 | seq, so ordering by (time, key) is
+  /// ordering by (time, priority, seq). Cancelled events leave a tombstone
+  /// that is dropped lazily when it reaches the top (its slot generation no
+  /// longer matches).
   struct Entry {
     SimTime time;
-    std::uint64_t seq;
+    std::uint64_t key;
     std::uint32_t slot;
     std::uint32_t generation;
-    std::int32_t priority;
 
     // std::priority_queue is a max-heap, so the comparator is reversed:
     // "greater" entries pop later.
     bool operator<(const Entry& other) const {
       if (time != other.time) return time > other.time;
-      if (priority != other.priority) return priority > other.priority;
-      return seq > other.seq;
+      return key > other.key;
     }
   };
+  static_assert(sizeof(Entry) == 24, "heap entry is three words");
+
+  static constexpr int kSeqBits = 56;
 
   [[nodiscard]] bool entry_live(const Entry& e) const {
-    const EventSlot& s = slots_[e.slot];
-    return s.live && s.generation == e.generation;
+    return slots_.generation(e.slot) == e.generation;
   }
 
   /// Drops tombstones at the heap top; returns false when the heap is
@@ -158,7 +175,9 @@ class Simulation {
   /// Pop the (live) top entry, move its callback out, and free the slot.
   EventFn take_top(Entry& out);
 
-  void free_slot(std::uint32_t index);
+  /// Cancel the pending event in `slot` (a promoted wheel timer keeps only
+  /// the slot of its heap event, which is pending by construction).
+  void cancel_slot(std::uint32_t slot) { cancel(slots_.id(slot)); }
 
   SimTime now_;
   bool stopping_ = false;
@@ -170,8 +189,7 @@ class Simulation {
   std::size_t live_events_ = 0;
 
   std::vector<Entry> heap_;
-  std::vector<EventSlot> slots_;
-  std::vector<std::uint32_t> free_;
+  SlotPool<EventSlot> slots_;
 
   std::unique_ptr<TimerWheel> wheel_;
 };
@@ -185,9 +203,15 @@ class PeriodicTask {
   PeriodicTask() = default;
 
   /// Starts ticking at absolute time `start` and then every `period`.
-  /// The callback runs with EventPriority::kTimer.
+  /// The callback runs with EventPriority::kTimer and is built in place in
+  /// the wheel timer.
+  template <typename F>
   PeriodicTask(Simulation& simulation, SimTime start, SimTime period,
-               EventFn on_tick);
+               F&& on_tick)
+      : simulation_(&simulation),
+        id_(simulation.schedule_timer_at(start, std::forward<F>(on_tick),
+                                         positive(period),
+                                         EventPriority::kTimer)) {}
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
@@ -199,6 +223,9 @@ class PeriodicTask {
   [[nodiscard]] bool active() const;
 
  private:
+  /// `period`, or std::invalid_argument unless it is positive.
+  static SimTime positive(SimTime period);
+
   Simulation* simulation_ = nullptr;
   TimerId id_ = kInvalidTimer;
 };

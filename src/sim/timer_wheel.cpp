@@ -33,56 +33,45 @@ std::uint64_t TimerWheel::now_tick() const {
   return tick_of(simulation_.now());
 }
 
-std::uint32_t TimerWheel::allocate_slot() {
-  if (!free_.empty()) {
-    const std::uint32_t index = free_.back();
-    free_.pop_back();
-    return index;
-  }
-  const auto index = static_cast<std::uint32_t>(timers_.size());
-  timers_.emplace_back();
-  return index;
-}
-
-void TimerWheel::release_slot(std::uint32_t index) {
-  Timer& t = timers_[index];
-  t.fn.reset();
-  t.promoted = kInvalidEvent;
-  t.state = State::kFree;
-  ++t.generation;
-  free_.push_back(index);
-  --active_count_;
-}
-
-TimerId TimerWheel::schedule_at(SimTime deadline, EventFn fn, SimTime period,
-                                EventPriority priority) {
+void TimerWheel::check_schedule(SimTime deadline, SimTime period,
+                                EventPriority priority) const {
   if (deadline < simulation_.now()) {
     throw std::invalid_argument("TimerWheel: scheduling into the past");
   }
   if (period < SimTime::zero()) {
     throw std::invalid_argument("TimerWheel: negative period");
   }
-  if (!fn) {
-    throw std::invalid_argument("TimerWheel: empty callback");
+  const auto p = static_cast<int>(priority);
+  if (p < -128 || p > 127) {
+    throw std::invalid_argument("TimerWheel: priority outside [-128, 127]");
   }
-  const std::uint32_t index = allocate_slot();
-  Timer& t = timers_[index];
-  t.fn = std::move(fn);
-  t.deadline = deadline;
-  t.period = period;
-  t.priority = static_cast<std::int32_t>(priority);
-  ++active_count_;
-  place(index, now_tick());
-  return (static_cast<TimerId>(timers_[index].generation) << 32) | index;
 }
 
-TimerId TimerWheel::schedule_in(SimTime delay, EventFn fn, SimTime period,
-                                EventPriority priority) {
+SimTime TimerWheel::deadline_in(SimTime delay) const {
   if (delay < SimTime::zero()) {
     throw std::invalid_argument("TimerWheel: negative delay");
   }
-  return schedule_at(simulation_.now() + delay, std::move(fn), period,
-                     priority);
+  return simulation_.now() + delay;
+}
+
+TimerId TimerWheel::arm(std::uint32_t index, SimTime deadline, SimTime period,
+                        EventPriority priority) {
+  Timer& t = timers_[index];
+  if (!t.fn) {
+    timers_.erase(index);
+    throw std::invalid_argument("TimerWheel: empty callback");
+  }
+  t.deadline = deadline;
+  t.period = period;
+  t.priority = static_cast<std::int8_t>(priority);
+  ++active_count_;
+  place(index, now_tick());
+  return timers_.id(index);
+}
+
+void TimerWheel::release(std::uint32_t index) {
+  timers_.erase(index);
+  --active_count_;
 }
 
 void TimerWheel::enqueue(std::uint32_t index, int level, std::uint32_t slot) {
@@ -91,43 +80,35 @@ void TimerWheel::enqueue(std::uint32_t index, int level, std::uint32_t slot) {
   t.level = static_cast<std::uint8_t>(level);
   t.slot = static_cast<std::uint8_t>(slot);
   t.next = kNil;
-  t.prev = tail_[level][slot];
-  if (t.prev != kNil) {
-    timers_[t.prev].next = index;
+  const std::uint32_t tail = tail_[level][slot];
+  if (tail != kNil) {
+    timers_[tail].next = index;
   } else {
     head_[level][slot] = index;
   }
   tail_[level][slot] = index;
+  ++armed_[level][slot];
   occupied_[level] |= 1ull << slot;
 }
 
-void TimerWheel::unlink(std::uint32_t index) {
-  Timer& t = timers_[index];
-  if (t.prev != kNil) {
-    timers_[t.prev].next = t.next;
-  } else {
-    head_[t.level][t.slot] = t.next;
-  }
-  if (t.next != kNil) {
-    timers_[t.next].prev = t.prev;
-  } else {
-    tail_[t.level][t.slot] = t.prev;
-  }
-  if (head_[t.level][t.slot] == kNil) {
-    occupied_[t.level] &= ~(1ull << t.slot);
-  }
-  t.prev = kNil;
-  t.next = kNil;
+std::uint32_t TimerWheel::detach(int level, std::uint32_t slot) {
+  const std::uint32_t head = head_[level][slot];
+  head_[level][slot] = kNil;
+  tail_[level][slot] = kNil;
+  armed_[level][slot] = 0;
+  occupied_[level] &= ~(1ull << slot);
+  return head;
 }
 
 void TimerWheel::promote(std::uint32_t index) {
   Timer& t = timers_[index];
   t.state = State::kPromoted;
-  const std::uint32_t generation = t.generation;
-  t.promoted = simulation_.schedule_at(
+  const std::uint32_t generation = timers_.generation(index);
+  const EventId event = simulation_.schedule_at(
       t.deadline,
       [this, index, generation] { fire(index, generation); },
       static_cast<EventPriority>(t.priority));
+  t.promoted = static_cast<std::uint32_t>(event & 0xFFFFFFFFu);
 }
 
 void TimerWheel::place(std::uint32_t index, std::uint64_t current_tick) {
@@ -218,22 +199,22 @@ void TimerWheel::advance(std::uint64_t tick) {
 
   // Cascade due higher-level buckets top-down: re-placed timers land
   // strictly below their previous level (or promote immediately), so each
-  // bucket is visited once.
+  // bucket is visited once. Dropped timers are reclaimed on the way.
   for (int level = kLevels - 1; level >= 1; --level) {
     const std::uint64_t window_mask = (1ull << (kSlotBits * level)) - 1;
     if ((tick & window_mask) != 0) continue;  // not a window boundary
     const auto slot = static_cast<std::uint32_t>(
         (tick >> (kSlotBits * level)) & kSlotMask);
-    std::uint32_t index = head_[level][slot];
-    head_[level][slot] = kNil;
-    tail_[level][slot] = kNil;
-    occupied_[level] &= ~(1ull << slot);
+    std::uint32_t index = detach(level, slot);
     while (index != kNil) {
-      const std::uint32_t next = timers_[index].next;
+      const Timer& t = timers_[index];
+      const std::uint32_t next = t.next;
       if (next != kNil) prefetch(&timers_[next]);
-      timers_[index].prev = kNil;
-      timers_[index].next = kNil;
-      place(index, tick);
+      if (t.state == State::kDropped) {
+        timers_.erase(index);
+      } else {
+        place(index, tick);
+      }
       index = next;
     }
   }
@@ -241,16 +222,16 @@ void TimerWheel::advance(std::uint64_t tick) {
   // Promote the level-0 bucket due at this tick, in bucket (FIFO) order.
   const auto slot0 = static_cast<std::uint32_t>(tick & kSlotMask);
   if ((occupied_[0] >> slot0) & 1ull) {
-    std::uint32_t index = head_[0][slot0];
-    head_[0][slot0] = kNil;
-    tail_[0][slot0] = kNil;
-    occupied_[0] &= ~(1ull << slot0);
+    std::uint32_t index = detach(0, slot0);
     while (index != kNil) {
-      const std::uint32_t next = timers_[index].next;
+      const Timer& t = timers_[index];
+      const std::uint32_t next = t.next;
       if (next != kNil) prefetch(&timers_[next]);
-      timers_[index].prev = kNil;
-      timers_[index].next = kNil;
-      promote(index);
+      if (t.state == State::kDropped) {
+        timers_.erase(index);
+      } else {
+        promote(index);
+      }
       index = next;
     }
   }
@@ -260,49 +241,47 @@ void TimerWheel::advance(std::uint64_t tick) {
 }
 
 void TimerWheel::fire(std::uint32_t index, std::uint32_t generation) {
-  {
-    Timer& t = timers_[index];
-    if (t.generation != generation) return;  // stale (defensive; cancel
-                                             // also cancels the heap event)
-    t.state = State::kFiring;
-    t.promoted = kInvalidEvent;
-  }
-  // Move the callback out before invoking: the callback may schedule new
-  // timers, which can grow `timers_` and relocate every slot (including
-  // the one whose captures are executing).
-  EventFn fn = std::move(timers_[index].fn);
-  fn();
-
+  // Stale (defensive; cancel also cancels the heap event).
+  if (timers_.generation(index) != generation) return;
+  // Slots never move, so the callback runs in place even when it arms
+  // new timers.
   Timer& t = timers_[index];
-  if (t.generation != generation || t.state == State::kCancelled) {
-    // Cancelled from within its own callback.
-    if (t.generation == generation) release_slot(index);
-    return;
-  }
-  if (t.period > SimTime::zero()) {
-    t.fn = std::move(fn);
+  t.state = State::kFiring;
+  t.fn();
+  if (t.state == State::kCancelled) {
+    release(index);  // cancelled from within its own callback
+  } else if (t.period > SimTime::zero()) {
     t.deadline += t.period;
-    t.state = State::kQueued;
     place(index, now_tick());
   } else {
-    release_slot(index);
+    release(index);
   }
 }
 
 bool TimerWheel::cancel(TimerId id) {
-  const auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (index >= timers_.size()) return false;
+  if (!timers_.contains(id)) return false;
+  const std::uint32_t index = SlotPool<Timer>::index_of(id);
   Timer& t = timers_[index];
-  if (t.generation != generation) return false;
   switch (t.state) {
     case State::kQueued:
-      unlink(index);
-      release_slot(index);
+      // Lazy: the bucket list keeps the node until its walk reclaims it
+      // (or until the bucket holds nothing armed, which frees it now and
+      // keeps the bucket's occupancy exact).
+      t.fn.reset();
+      t.state = State::kDropped;
+      --active_count_;
+      if (--armed_[t.level][t.slot] == 0) {
+        std::uint32_t dropped = detach(t.level, t.slot);
+        while (dropped != kNil) {
+          const std::uint32_t next = timers_[dropped].next;
+          timers_.erase(dropped);
+          dropped = next;
+        }
+      }
       return true;
     case State::kPromoted:
-      simulation_.cancel(t.promoted);
-      release_slot(index);
+      simulation_.cancel_slot(t.promoted);
+      release(index);
       return true;
     case State::kFiring:
       // Mid-callback: mark; fire() releases the slot after the callback
@@ -310,20 +289,17 @@ bool TimerWheel::cancel(TimerId id) {
       t.state = State::kCancelled;
       return true;
     case State::kCancelled:
-    case State::kFree:
+    case State::kDropped:
       return false;
   }
   return false;
 }
 
 bool TimerWheel::active(TimerId id) const {
-  const auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (index >= timers_.size()) return false;
-  const Timer& t = timers_[index];
-  if (t.generation != generation) return false;
-  return t.state == State::kQueued || t.state == State::kPromoted ||
-         t.state == State::kFiring;
+  if (!timers_.contains(id)) return false;
+  const State state = timers_[SlotPool<Timer>::index_of(id)].state;
+  return state == State::kQueued || state == State::kPromoted ||
+         state == State::kFiring;
 }
 
 }  // namespace oddci::sim

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/event.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
 
 /// Hierarchical timer wheel for recurring and far-future work.
@@ -43,25 +44,42 @@ class TimerWheel {
   /// Arm a timer for absolute time `deadline` (must be >= now()). A
   /// positive `period` makes the timer re-arm itself every `period` after
   /// each expiry (first expiry at `deadline`); zero makes it one-shot.
-  TimerId schedule_at(SimTime deadline, EventFn fn,
+  /// `fn` is built in place in the timer's slot: a capture of up to 24
+  /// bytes (TimerFn) allocates nothing.
+  template <typename F>
+  TimerId schedule_at(SimTime deadline, F&& fn,
                       SimTime period = SimTime::zero(),
-                      EventPriority priority = EventPriority::kTimer);
+                      EventPriority priority = EventPriority::kTimer) {
+    check_schedule(deadline, period, priority);
+    return arm(timers_.emplace(std::forward<F>(fn)), deadline, period,
+               priority);
+  }
 
   /// Arm a timer `delay` from now (must be >= 0).
-  TimerId schedule_in(SimTime delay, EventFn fn,
+  template <typename F>
+  TimerId schedule_in(SimTime delay, F&& fn,
                       SimTime period = SimTime::zero(),
-                      EventPriority priority = EventPriority::kTimer);
+                      EventPriority priority = EventPriority::kTimer) {
+    return schedule_at(deadline_in(delay), std::forward<F>(fn), period,
+                       priority);
+  }
 
   /// Disarm. O(1). Returns false if the timer already expired (one-shot),
   /// was already cancelled, or never existed. Safe to call from within the
-  /// timer's own callback (stops a periodic timer's future expiries).
+  /// timer's own callback (stops a periodic timer's future expiries). A
+  /// bucketed timer is cancelled lazily: its callback is released now, its
+  /// slot when its bucket is next walked.
   bool cancel(TimerId id);
 
   /// True while armed (including while its callback is executing).
   [[nodiscard]] bool active(TimerId id) const;
 
-  /// Number of armed timers (bucketed + promoted + firing).
+  /// Number of armed timers (bucketed + promoted + firing); lazily
+  /// cancelled timers awaiting reclaim are not counted.
   [[nodiscard]] std::size_t active_timers() const { return active_count_; }
+
+  /// Heap blocks holding the timers (SlotPool chunks).
+  [[nodiscard]] std::size_t slab_chunks() const { return timers_.chunks(); }
 
  private:
   /// 2^10 us = 1.024 ms per tick.
@@ -75,45 +93,55 @@ class TimerWheel {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   enum class State : std::uint8_t {
-    kFree,
     kQueued,     ///< linked into a wheel bucket
     kPromoted,   ///< handed to the main event heap at its exact deadline
     kFiring,     ///< callback currently executing
     kCancelled,  ///< cancelled from within its own callback
+    kDropped,    ///< cancelled while bucketed; reclaimed by the bucket walk
   };
 
-  // Cache layout matters at million-timer populations: bucket walks
-  // (enqueue/unlink/cascade) touch only the link+deadline metadata, so it
-  // lives in the slot's first cache line; the 64-byte callback — needed only
-  // at promote/fire time — takes the second. alignas pins the split so a
-  // list traversal costs one line per node, not two.
+  /// One 64-byte cache line per timer: the 32-byte callback, then the
+  /// metadata a bucket walk reads. The slot's generation lives in the
+  /// pool's side array.
   struct alignas(64) Timer {
+    template <typename F>
+    explicit Timer(F&& f) : fn(std::forward<F>(f)) {}
+
+    TimerFn fn;
     SimTime deadline;
     SimTime period;
-    EventId promoted = kInvalidEvent;
-    std::uint32_t generation = 1;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-    std::int32_t priority = 0;
+    /// Event slot of the heap event while kPromoted. That event is pending
+    /// by construction (firing moves the timer to kFiring, cancelling
+    /// frees it), so its generation is implied.
+    std::uint32_t promoted = 0;
+    std::uint32_t next = kNil;  ///< bucket list link
     std::uint8_t level = 0;
     std::uint8_t slot = 0;
-    State state = State::kFree;
-    alignas(64) EventFn fn;
+    std::int8_t priority = 0;
+    State state = State::kQueued;
   };
-  static_assert(sizeof(Timer) == 128, "Timer should span two cache lines");
+  static_assert(sizeof(Timer) == 64, "Timer fills one cache line");
+
+  void check_schedule(SimTime deadline, SimTime period,
+                      EventPriority priority) const;
+  [[nodiscard]] SimTime deadline_in(SimTime delay) const;
+  /// Validate and bucket the freshly emplaced timer `index`.
+  TimerId arm(std::uint32_t index, SimTime deadline, SimTime period,
+              EventPriority priority);
 
   [[nodiscard]] std::uint64_t now_tick() const;
   [[nodiscard]] static std::uint64_t tick_of(SimTime t) {
     return static_cast<std::uint64_t>(t.micros()) >> kTickBits;
   }
 
-  std::uint32_t allocate_slot();
-  void release_slot(std::uint32_t index);
+  /// Free an armed timer's slot.
+  void release(std::uint32_t index);
 
   /// Bucket (or promote) timer `index` relative to the current tick.
   void place(std::uint32_t index, std::uint64_t current_tick);
   void enqueue(std::uint32_t index, int level, std::uint32_t slot);
-  void unlink(std::uint32_t index);
+  /// Empty bucket (level, slot) and return its list head.
+  std::uint32_t detach(int level, std::uint32_t slot);
   void promote(std::uint32_t index);
 
   /// Fire a promoted timer: run the callback, then re-arm (periodic) or
@@ -132,12 +160,15 @@ class TimerWheel {
   void rearm_at(std::uint64_t due);
 
   Simulation& simulation_;
-  std::vector<Timer> timers_;
-  std::vector<std::uint32_t> free_;
+  SlotPool<Timer> timers_;
   std::size_t active_count_ = 0;
 
   std::uint32_t head_[kLevels][kSlots];
   std::uint32_t tail_[kLevels][kSlots];
+  /// Armed (not dropped) timers per bucket. A bucket is occupied exactly
+  /// while this is non-zero, so lazily cancelled timers never move the
+  /// cascade schedule.
+  std::uint32_t armed_[kLevels][kSlots] = {};
   std::uint64_t occupied_[kLevels] = {};
 
   EventId cascade_event_ = kInvalidEvent;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace oddci::util {
 
@@ -49,9 +50,18 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
+  // Every task captures `fn` by reference, so wait for all of them before
+  // rethrowing: an early return would leave queued tasks calling through a
+  // reference to the caller's destroyed callable.
+  std::exception_ptr first_error;
   for (auto& f : futures) {
-    f.get();  // propagate exceptions
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace oddci::util

@@ -14,7 +14,7 @@ TEST(Wakeup, FormulaMatchesPaper) {
   EXPECT_NEAR(wakeup_seconds(image, beta), 1.5 * 83886080.0 / 1e6, 1e-6);
   EXPECT_NEAR(wakeup_best_seconds(image, beta), 83.886, 1e-3);
   EXPECT_NEAR(wakeup_worst_seconds(image, beta), 2 * 83.886, 1e-2);
-  EXPECT_THROW(wakeup_seconds(image, util::BitRate(0)),
+  EXPECT_THROW((void)wakeup_seconds(image, util::BitRate(0)),
                std::invalid_argument);
 }
 
@@ -50,9 +50,9 @@ TEST(Makespan, EquationOne) {
   const double expected =
       1.5 * 83886080.0 / 1e6 + 10.0 * (8192.0 / 150e3 + 30.0);
   EXPECT_NEAR(makespan_seconds(sm, jm, N), expected, 1e-6);
-  EXPECT_THROW(makespan_seconds(sm, jm, 0), std::invalid_argument);
+  EXPECT_THROW((void)makespan_seconds(sm, jm, 0), std::invalid_argument);
   jm.n = 0;
-  EXPECT_THROW(makespan_seconds(sm, jm, N), std::invalid_argument);
+  EXPECT_THROW((void)makespan_seconds(sm, jm, N), std::invalid_argument);
 }
 
 TEST(Efficiency, EquationTwo) {
@@ -110,8 +110,8 @@ TEST(Suitability, DefinitionAndInversion) {
   const double p_big =
       task_seconds_for_suitability(1024 * 8.0, delta, 100000.0);
   EXPECT_NEAR(p_big / 3600.0, 1.5, 0.05);
-  EXPECT_THROW(suitability(1, 1, delta, 0.0), std::invalid_argument);
-  EXPECT_THROW(task_seconds_for_suitability(0.0, delta, 1.0),
+  EXPECT_THROW((void)suitability(1, 1, delta, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)task_seconds_for_suitability(0.0, delta, 1.0),
                std::invalid_argument);
 }
 
@@ -130,8 +130,8 @@ TEST(RatioForEfficiency, InvertsEquationTwo) {
   // Unreachable targets are signalled.
   const double asym = asymptotic_efficiency(sm, jm);
   EXPECT_LT(ratio_for_efficiency(sm, jm, asym + 0.001), 0.0);
-  EXPECT_THROW(ratio_for_efficiency(sm, jm, 0.0), std::invalid_argument);
-  EXPECT_THROW(ratio_for_efficiency(sm, jm, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)ratio_for_efficiency(sm, jm, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)ratio_for_efficiency(sm, jm, 1.0), std::invalid_argument);
 }
 
 TEST(AsymptoticEfficiency, BoundsEfficiency) {

@@ -191,10 +191,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          control::EngineKind::kProportional,
                                          control::EngineKind::kBandit),
                        ::testing::Values(std::size_t{1}, std::size_t{2})),
-    [](const auto& info) {
+    [](const auto& param_info) {
       return std::string(
-                 control::to_string(std::get<0>(info.param))) +
-             "_K" + std::to_string(std::get<1>(info.param));
+                 control::to_string(std::get<0>(param_info.param))) +
+             "_K" + std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -297,9 +297,9 @@ INSTANTIATE_TEST_SUITE_P(
                           Pending::kResultRetry, Pending::kRequestWatchdog),
         ::testing::Values(Kill::kDestroy, Kill::kCrash, Kill::kHang,
                           Kill::kHangRelaunch, Kill::kPowerOff)),
-    [](const auto& info) {
-      return name_of(std::get<0>(info.param)) +
-             name_of(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return name_of(std::get<0>(param_info.param)) +
+             name_of(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(DeviceProfile, ReferenceStbIsUnit) {
 }
 
 TEST(DeviceProfile, OffHasNoSlowdown) {
-  EXPECT_THROW(DeviceProfile::stb_st7109().slowdown(PowerMode::kOff),
+  EXPECT_THROW((void)DeviceProfile::stb_st7109().slowdown(PowerMode::kOff),
                std::logic_error);
 }
 

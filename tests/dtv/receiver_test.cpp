@@ -93,7 +93,7 @@ TEST_F(ReceiverTest, ExecuteValidatesArguments) {
   EXPECT_THROW(receiver->execute(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(receiver->execute(1.0, nullptr), std::invalid_argument);
   receiver->set_power_mode(PowerMode::kOff);
-  EXPECT_THROW(receiver->scaled_seconds(1.0), std::logic_error);
+  EXPECT_THROW((void)receiver->scaled_seconds(1.0), std::logic_error);
 }
 
 TEST_F(ReceiverTest, PowerOffCancelsExecutionsAndDetaches) {

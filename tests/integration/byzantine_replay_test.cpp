@@ -161,8 +161,8 @@ TEST_P(ByzantineReplay, MatrixReplaysByteIdenticallyAndDefenseHolds) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ByzantineReplay,
                          ::testing::Values(std::size_t{1}, std::size_t{4}),
-                         [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "K" + std::to_string(param_info.param);
                          });
 
 // Disabled costs nothing: a verify-off, adversary-off run registers none

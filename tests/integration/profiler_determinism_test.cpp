@@ -128,8 +128,8 @@ TEST_P(ProfilerByteIdentity, ProfilerOnAndOffMatchUnderTheFaultMatrix) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ProfilerByteIdentity,
                          ::testing::Values(std::size_t{1}, std::size_t{4}),
-                         [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "K" + std::to_string(param_info.param);
                          });
 
 // The auditor passes honest runs: conservation holds fault-off and under

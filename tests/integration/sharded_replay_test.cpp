@@ -95,8 +95,8 @@ TEST_P(ShardedReplay, SameSeedSameShardCountExportsAreByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedReplay,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}),
-                         [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "K" + std::to_string(param_info.param);
                          });
 
 // shards = 1 must take the classic single-kernel path exactly: same

@@ -29,6 +29,13 @@ class NaiveScheduler {
 
   bool disarm(int id) { return armed_.erase(id) > 0; }
 
+  [[nodiscard]] std::size_t size() const { return armed_.size(); }
+  [[nodiscard]] std::vector<int> armed_ids() const {
+    std::vector<int> ids;
+    for (const auto& [id, armed] : armed_) ids.push_back(id);
+    return ids;
+  }
+
   /// All (time, id) firings with time <= horizon, in time order.
   std::vector<std::pair<std::int64_t, int>> run_until(SimTime horizon) {
     std::vector<std::pair<std::int64_t, int>> fired;
@@ -153,6 +160,61 @@ TEST(TimerWheel, RandomizedMixedWorkloadMatchesReference) {
   const auto expected = reference.run_until(horizon);
   ASSERT_EQ(fired.size(), expected.size());
   EXPECT_EQ(by_timestamp(fired), by_timestamp(expected));
+}
+
+TEST(TimerWheel, LazyCancelOfHalfTheArmedTimersMatchesReference) {
+  // Cancelling a bucketed timer only marks it; its slot is reclaimed when
+  // its bucket is walked. Cancel half of the armed timers at random at
+  // several points of a run, with deadlines and periods on a coarse grid so
+  // buckets are shared and timestamps tie, and compare with the reference.
+  Simulation sim;
+  util::Random rng(2026);
+  NaiveScheduler reference;
+  std::vector<std::pair<std::int64_t, int>> fired;
+  constexpr int kTimers = 1000;
+  std::vector<TimerId> handles(kTimers, kInvalidTimer);
+  for (int id = 0; id < kTimers; ++id) {
+    const auto deadline = SimTime::from_millis(
+        1 + static_cast<std::int64_t>(rng.uniform(0.0, 600.0)) * 100);
+    const bool periodic = rng.bernoulli(0.5);
+    const auto period =
+        periodic ? SimTime::from_millis(
+                       static_cast<std::int64_t>(rng.uniform(1.0, 40.0)) *
+                       500)
+                 : SimTime::zero();
+    handles[static_cast<std::size_t>(id)] = sim.schedule_timer_at(
+        deadline,
+        [&fired, &sim, id] { fired.emplace_back(sim.now().micros(), id); },
+        period);
+    reference.arm(id, deadline, period);
+  }
+  EXPECT_EQ(sim.timers().active_timers(), reference.size());
+
+  std::vector<std::pair<std::int64_t, int>> expected;
+  for (int round = 1; round <= 4; ++round) {
+    const auto checkpoint = SimTime::from_seconds(15.0 * round);
+    sim.run_until(checkpoint);
+    const auto part = reference.run_until(checkpoint);
+    expected.insert(expected.end(), part.begin(), part.end());
+    ASSERT_EQ(sim.timers().active_timers(), reference.size());
+    for (const int id : reference.armed_ids()) {
+      if (!rng.bernoulli(0.5)) continue;
+      const TimerId handle = handles[static_cast<std::size_t>(id)];
+      EXPECT_TRUE(sim.cancel_timer(handle));
+      EXPECT_FALSE(sim.timer_active(handle));
+      EXPECT_FALSE(sim.cancel_timer(handle));  // already cancelled
+      EXPECT_TRUE(reference.disarm(id));
+    }
+    // Only armed timers count, not the cancelled ones awaiting reclaim.
+    EXPECT_EQ(sim.timers().active_timers(), reference.size());
+  }
+  const auto horizon = SimTime::from_seconds(120);
+  sim.run_until(horizon);
+  const auto rest = reference.run_until(horizon);
+  expected.insert(expected.end(), rest.begin(), rest.end());
+  ASSERT_EQ(fired.size(), expected.size());
+  EXPECT_EQ(by_timestamp(fired), by_timestamp(expected));
+  EXPECT_EQ(sim.timers().active_timers(), reference.size());
 }
 
 TEST(TimerWheel, CancelBeforeExpiryPreventsFiring) {

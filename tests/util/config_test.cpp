@@ -42,7 +42,7 @@ TEST(Config, BoolParsing) {
   EXPECT_FALSE(c.get_bool("f2", true));
   EXPECT_FALSE(c.get_bool("f3", true));
   EXPECT_FALSE(c.get_bool("f4", true));
-  EXPECT_THROW(c.get_bool("bad", true), std::runtime_error);
+  EXPECT_THROW((void)c.get_bool("bad", true), std::runtime_error);
 }
 
 TEST(Config, MalformedLinesThrow) {
@@ -53,13 +53,13 @@ TEST(Config, MalformedLinesThrow) {
 TEST(Config, NonNumericValuesNameTheKey) {
   const Config c = Config::parse("n = abc\nx = 1.5extra\n");
   try {
-    c.get_int("n", 0);
+    (void)c.get_int("n", 0);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("'abc'"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("key n"), std::string::npos);
   }
-  EXPECT_THROW(c.get_double("x", 0.0), std::runtime_error);
+  EXPECT_THROW((void)c.get_double("x", 0.0), std::runtime_error);
 }
 
 TEST(Config, SetOverrides) {

@@ -66,14 +66,14 @@ TEST(TransmissionSeconds, PaperWakeupNumbers) {
 }
 
 TEST(TransmissionSeconds, RejectsNonPositiveRate) {
-  EXPECT_THROW(transmission_seconds(Bits(8), BitRate(0.0)),
+  EXPECT_THROW((void)transmission_seconds(Bits(8), BitRate(0.0)),
                std::invalid_argument);
-  EXPECT_THROW(transmission_seconds(Bits(8), BitRate(-1.0)),
+  EXPECT_THROW((void)transmission_seconds(Bits(8), BitRate(-1.0)),
                std::invalid_argument);
 }
 
 TEST(TransmissionSeconds, RejectsNegativeData) {
-  EXPECT_THROW(transmission_seconds(Bits(-1), BitRate(1.0)),
+  EXPECT_THROW((void)transmission_seconds(Bits(-1), BitRate(1.0)),
                std::invalid_argument);
 }
 

@@ -79,8 +79,8 @@ TEST(Samples, PercentilesOnKnownData) {
 TEST(Samples, PercentileValidation) {
   Samples s;
   s.add(1.0);
-  EXPECT_THROW(s.percentile(-1), std::invalid_argument);
-  EXPECT_THROW(s.percentile(101), std::invalid_argument);
+  EXPECT_THROW((void)s.percentile(-1), std::invalid_argument);
+  EXPECT_THROW((void)s.percentile(101), std::invalid_argument);
   EXPECT_DOUBLE_EQ(s.percentile(50), 1.0);  // single element
 }
 

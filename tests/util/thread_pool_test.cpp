@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace oddci::util {
@@ -52,6 +54,26 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                                    }
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // Task 0 throws at once while the others are still queued or sleeping;
+  // parallel_for must not return (and destroy the callable its tasks
+  // reference) until every one of them has run.
+  constexpr std::size_t kTasks = 8;
+  ThreadPool pool(2);
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(pool.parallel_for(kTasks,
+                                 [&finished](std::size_t i) {
+                                   if (i == 0) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kTasks - 1);
 }
 
 TEST(ThreadPool, ResultsAggregateCorrectly) {

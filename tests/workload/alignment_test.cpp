@@ -109,9 +109,9 @@ TEST(UngappedExtend, XDropTerminatesExtension) {
 
 TEST(UngappedExtend, Validation) {
   const Scoring sc;
-  EXPECT_THROW(ungapped_extend("ACGT", "ACGT", 2, 2, 4, sc, 10),
+  EXPECT_THROW((void)ungapped_extend("ACGT", "ACGT", 2, 2, 4, sc, 10),
                std::invalid_argument);  // seed overruns
-  EXPECT_THROW(ungapped_extend("ACGT", "ACGT", 0, 0, 4, sc, 0),
+  EXPECT_THROW((void)ungapped_extend("ACGT", "ACGT", 0, 0, 4, sc, 0),
                std::invalid_argument);  // bad x_drop
 }
 
@@ -139,7 +139,8 @@ TEST(BandedAlign, CheaperThanFullDp) {
 }
 
 TEST(BandedAlign, Validation) {
-  EXPECT_THROW(banded_align("A", "A", Scoring{}, 0), std::invalid_argument);
+  EXPECT_THROW((void)banded_align("A", "A", Scoring{}, 0),
+               std::invalid_argument);
   const auto r = banded_align("", "ACGT", Scoring{}, 4);
   EXPECT_EQ(r.score, 0);
 }

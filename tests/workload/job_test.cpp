@@ -48,7 +48,7 @@ TEST(Job, SuitabilityMatchesDefinition) {
                                    util::Bits::from_bytes(512), 0.0546);
   // Phi = delta * p / (s + r) = 150000 * 0.0546 / 8192 ~ 1.0
   EXPECT_NEAR(suitability(job, delta), 150e3 * 0.0546 / 8192.0, 1e-9);
-  EXPECT_THROW(suitability(job, util::BitRate(0)), std::invalid_argument);
+  EXPECT_THROW((void)suitability(job, util::BitRate(0)), std::invalid_argument);
 }
 
 TEST(Job, ParametricJobIsInfinitelySuitable) {

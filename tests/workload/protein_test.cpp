@@ -20,7 +20,7 @@ TEST(Protein, Blosum62KnownValues) {
   EXPECT_EQ(blosum62('A', 'W'), -3);
   EXPECT_EQ(blosum62('L', 'I'), 2);
   EXPECT_EQ(blosum62('D', 'E'), 2);
-  EXPECT_THROW(blosum62('A', 'X'), std::invalid_argument);
+  EXPECT_THROW((void)blosum62('A', 'X'), std::invalid_argument);
 }
 
 TEST(Protein, Blosum62IsSymmetric) {
@@ -69,10 +69,11 @@ TEST(Protein, ConservativeSubstitutionBeatsRadical) {
 }
 
 TEST(Protein, Validation) {
-  EXPECT_THROW(smith_waterman_protein("MKT", "MXT"), std::invalid_argument);
+  EXPECT_THROW((void)smith_waterman_protein("MKT", "MXT"),
+               std::invalid_argument);
   ProteinScoring bad;
   bad.gap_open = 1;
-  EXPECT_THROW(smith_waterman_protein("MKT", "MKT", bad),
+  EXPECT_THROW((void)smith_waterman_protein("MKT", "MKT", bad),
                std::invalid_argument);
   EXPECT_EQ(smith_waterman_protein("", "MKT").score, 0);
 }

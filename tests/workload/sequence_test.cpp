@@ -14,7 +14,7 @@ TEST(Sequence, DnaCodeRoundTrip) {
   EXPECT_EQ(dna_code('a'), 0);
   EXPECT_EQ(dna_code('t'), 3);
   EXPECT_EQ(dna_code('N'), 0xFF);
-  EXPECT_THROW(dna_char(4), std::invalid_argument);
+  EXPECT_THROW((void)dna_char(4), std::invalid_argument);
 }
 
 TEST(Sequence, Validation) {
