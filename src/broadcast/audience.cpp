@@ -1,0 +1,195 @@
+#include "broadcast/audience.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+
+#include "broadcast/medium.hpp"
+#include "util/rng.hpp"
+
+namespace oddci::broadcast {
+namespace {
+
+/// Where `id` sits in a table sorted by id.
+template <typename Table>
+auto seat(Table& table, ListenerId id) {
+  return std::lower_bound(
+      table.begin(), table.end(), id,
+      [](const auto& entry, ListenerId key) { return entry.id < key; });
+}
+
+}  // namespace
+
+Audience::Audience(BroadcastMedium& medium, sim::Simulation& simulation,
+                   std::uint64_t seed, sim::SimTime repetition)
+    : medium_(medium),
+      seed_(util::stream_seed(seed, "broadcast.announce")),
+      repetition_(repetition),
+      blocks_(1) {
+  if (repetition <= sim::SimTime::zero()) {
+    throw std::invalid_argument(
+        "Audience: announcement repetition must be positive");
+  }
+  blocks_[0].kernel = &simulation;
+}
+
+void Audience::set_sharded(sim::ShardedSimulation& sharded) {
+  if (blocks_.size() != 1 || !blocks_[0].table.empty() ||
+      blocks_[0].generation != 0) {
+    throw std::logic_error(
+        "Audience: attach the sharded kernel once, before any tune or "
+        "commit");
+  }
+  sharded_ = &sharded;
+  blocks_ = std::vector<Block>(sharded.shard_count());
+  for (std::size_t s = 0; s < blocks_.size(); ++s) {
+    blocks_[s].kernel = &sharded.shard(s);
+  }
+}
+
+Audience::Block& Audience::block(std::uint32_t shard) {
+  if (shard >= blocks_.size()) {
+    throw std::out_of_range("Audience: shard out of range");
+  }
+  return blocks_[shard];
+}
+
+sim::SimTime Audience::phase(std::uint64_t generation, ListenerId id,
+                             std::uint32_t ordinal) const {
+  // SplitMix64 over the key, one field per step: no live generator, so a
+  // listener's draw depends on nothing but its own key.
+  const std::uint64_t g = util::SplitMix64(seed_ ^ generation).next();
+  const std::uint64_t h =
+      util::SplitMix64(g ^ (std::uint64_t{id} << 32 | ordinal)).next();
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  return sim::SimTime::from_micros(static_cast<std::int64_t>(
+      u * static_cast<double>(repetition_.micros())));
+}
+
+void Audience::tune(ListenerId id, BroadcastListener* listener,
+                    std::uint32_t shard) {
+  if (listener == nullptr) {
+    throw std::invalid_argument("Audience: null listener");
+  }
+  if (id == 0) {
+    throw std::invalid_argument("Audience: listener id must be nonzero");
+  }
+  Block& b = block(shard);
+  auto it = seat(b.table, id);
+  if (it == b.table.end() || it->id != id) {
+    it = b.table.insert(it, Listener{nullptr, id, 0});
+  } else if (it->listener != nullptr) {
+    throw std::invalid_argument("Audience: listener id already tuned");
+  }
+  it->listener = listener;
+  const std::uint32_t epoch = ++it->epoch;
+  ++b.tuned;
+  if (b.generation == 0) return;  // nothing on air yet
+
+  // On air: this tune hears the current generation after its own phase.
+  ++b.announcements;
+  const Announcement a{b.kernel->now() + phase(b.generation, id, epoch), id,
+                       epoch};
+  const auto head = b.queue.begin() + static_cast<std::ptrdiff_t>(b.next);
+  const auto pos = std::upper_bound(head, b.queue.end(), a);
+  const bool first = pos == head;
+  b.queue.insert(pos, a);
+  if (first) arm(shard);
+}
+
+void Audience::untune(ListenerId id, std::uint32_t shard) {
+  Block& b = block(shard);
+  const auto it = seat(b.table, id);
+  if (it == b.table.end() || it->id != id || it->listener == nullptr) return;
+  it->listener = nullptr;
+  --b.tuned;
+}
+
+void Audience::commit(std::uint64_t generation,
+                      std::shared_ptr<const SignallingCapsule> capsule) {
+  if (blocks_.size() > 1 && capsule == nullptr) {
+    throw std::logic_error(
+        "Audience: a commit on several shards needs a capsule");
+  }
+  const sim::SimTime at = blocks_[0].kernel->now();
+  for (std::uint32_t s = 1; s < blocks_.size(); ++s) {
+    sharded_->post(0, s, at, [this, s, generation, at, capsule] {
+      announce(s, generation, at, capsule);
+    });
+  }
+  announce(0, generation, at, std::move(capsule));
+}
+
+void Audience::announce(std::uint32_t shard, std::uint64_t generation,
+                        sim::SimTime at,
+                        std::shared_ptr<const SignallingCapsule> capsule) {
+  Block& b = blocks_[shard];
+  b.generation = generation;
+  b.capsule = std::move(capsule);
+  b.queue.clear();
+  b.next = 0;
+  b.queue.reserve(b.tuned);
+  for (const Listener& l : b.table) {
+    if (l.listener == nullptr) continue;
+    b.queue.push_back({at + phase(generation, l.id, l.epoch), l.id, l.epoch});
+  }
+  b.announcements += b.queue.size();
+  std::sort(b.queue.begin(), b.queue.end());
+  arm(shard);
+}
+
+void Audience::arm(std::uint32_t shard) {
+  Block& b = blocks_[shard];
+  if (b.pending != sim::kInvalidEvent) {
+    b.kernel->cancel(b.pending);
+    b.pending = sim::kInvalidEvent;
+  }
+  if (b.next == b.queue.size()) return;
+  const sim::SimTime at = std::max(b.queue[b.next].at, b.kernel->now());
+  b.pending = b.kernel->schedule_at(
+      at, [this, shard] { deliver_due(shard); },
+      sim::EventPriority::kDelivery);
+}
+
+void Audience::deliver_due(std::uint32_t shard) {
+  Block& b = blocks_[shard];
+  b.pending = sim::kInvalidEvent;
+  const sim::SimTime now = b.kernel->now();
+  // A listener may tune, untune or commit from inside its delivery, so the
+  // queue and the table are re-read after every call.
+  while (b.next < b.queue.size() && b.queue[b.next].at <= now) {
+    const Announcement a = b.queue[b.next++];
+    const auto it = seat(b.table, a.id);
+    // Untuned, or re-tuned since: that tune has its own announcement.
+    if (it == b.table.end() || it->id != a.id || it->listener == nullptr ||
+        it->epoch != a.epoch) {
+      continue;
+    }
+    if (b.capsule != nullptr) {
+      it->listener->on_signalling_capsule(b.capsule);
+    } else {
+      it->listener->on_signalling(medium_.ait(), medium_.current());
+    }
+  }
+  if (b.next == b.queue.size()) {
+    // Drained: the queue holds memory only while a commit is on its way.
+    std::vector<Announcement>().swap(b.queue);
+    b.next = 0;
+  } else if (b.pending == sim::kInvalidEvent) {
+    arm(shard);
+  }
+}
+
+std::size_t Audience::tuned_count() const {
+  std::size_t n = 0;
+  for (const Block& b : blocks_) n += b.tuned;
+  return n;
+}
+
+std::uint64_t Audience::announcements() const {
+  std::uint64_t n = 0;
+  for (const Block& b : blocks_) n += b.announcements.value();
+  return n;
+}
+
+}  // namespace oddci::broadcast

@@ -1,0 +1,166 @@
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "broadcast/ait.hpp"
+#include "broadcast/carousel.hpp"
+#include "obs/metrics.hpp"
+#include "sim/sharded.hpp"
+#include "sim/simulation.hpp"
+#include "util/quantity.hpp"
+
+/// The commit fan-out every broadcast medium shares.
+///
+/// A broadcast is one transmission: each tuned receiver picks a new
+/// generation up after its own table-repetition phase (§3.2, §4 of the
+/// paper). The audience keeps, for each kernel shard, a dense table of
+/// that shard's tuned listeners and one queue of `(time, listener, tune
+/// epoch)` announcements served by a single kernel event. A listener's
+/// phase is a pure function of (medium seed, generation, listener id, tune
+/// ordinal), so every shard draws its own listeners' phases: a commit
+/// costs the control shard one mail item per other shard, and a listener
+/// hears it at the same instant at every shard count (with several shards,
+/// an instant inside the commit's own window moves to that window's
+/// boundary, where the commit's mail arrives).
+namespace oddci::broadcast {
+
+class BroadcastMedium;
+
+/// A listener's id on a medium: nonzero, unique per medium, and stable for
+/// the listener's life (a receiver keeps it across power cycles).
+using ListenerId = std::uint32_t;
+
+/// Immutable copy of one generation's on-air signalling, shared across
+/// shards of the sharded kernel: the channel (control shard) freezes its
+/// AIT, carousel snapshot and loss model at commit; receivers on other
+/// shards retain the capsule and compute acquisition times from it without
+/// ever touching the live channel.
+struct SignallingCapsule {
+  Ait ait;
+  CarouselSnapshot snapshot;
+  double section_loss = 0.0;
+  util::Bits section_size;
+};
+
+class BroadcastListener {
+ public:
+  virtual ~BroadcastListener() = default;
+
+  /// New signalling (AIT version and/or carousel generation) acquired.
+  virtual void on_signalling(const Ait& ait,
+                             const CarouselSnapshot& snapshot) = 0;
+
+  /// Sharded-kernel delivery: signalling that crosses shards travels as a
+  /// shared immutable capsule. The default unwraps to on_signalling.
+  virtual void on_signalling_capsule(
+      const std::shared_ptr<const SignallingCapsule>& capsule) {
+    on_signalling(capsule->ait, capsule->snapshot);
+  }
+};
+
+class Audience {
+ public:
+  /// One shard on `simulation` until set_sharded(). Announcements reach a
+  /// listener `repetition * U(key)` after a commit (or after an on-air
+  /// tune); `seed` keys the draws. With a single shard a due listener gets
+  /// `medium`'s live AIT and snapshot, with several the commit's capsule.
+  Audience(BroadcastMedium& medium, sim::Simulation& simulation,
+           std::uint64_t seed, sim::SimTime repetition);
+
+  Audience(const Audience&) = delete;
+  Audience& operator=(const Audience&) = delete;
+
+  /// One block per shard of `sharded`. Call before any tune or commit.
+  void set_sharded(sim::ShardedSimulation& sharded);
+  [[nodiscard]] std::size_t shard_count() const { return blocks_.size(); }
+
+  /// Attach `listener` under `id` on `shard`, from that shard's thread. If
+  /// a generation is on air there, the listener is announced it `phase()`
+  /// from now. Throws on a null listener, id 0, an id already tuned, or a
+  /// shard out of range.
+  void tune(ListenerId id, BroadcastListener* listener, std::uint32_t shard);
+  /// Detach, from `shard`'s thread; the tune's queued announcement is
+  /// dropped. Untuning an id that is not tuned does nothing.
+  void untune(ListenerId id, std::uint32_t shard);
+
+  /// Announce `generation` to every tuned listener, from the control shard
+  /// at its current time. The control shard's block is served at once and
+  /// every other shard gets one mail item carrying `capsule`, which is
+  /// required with several shards.
+  void commit(std::uint64_t generation,
+              std::shared_ptr<const SignallingCapsule> capsule);
+
+  /// The delay after a commit of `generation` (or after the on-air tune)
+  /// at which listener `id` on its `ordinal`-th tune hears it: in
+  /// [0, repetition).
+  [[nodiscard]] sim::SimTime phase(std::uint64_t generation, ListenerId id,
+                                   std::uint32_t ordinal) const;
+
+  // Sums over the blocks: read between windows.
+  [[nodiscard]] std::size_t tuned_count() const;
+  /// One per tuned listener per commit, plus one per on-air tune.
+  [[nodiscard]] std::uint64_t announcements() const;
+
+ private:
+  /// A table entry; an untuned listener keeps its entry (and epoch) with a
+  /// null pointer, so a re-tune finds it in place.
+  struct Listener {
+    BroadcastListener* listener = nullptr;
+    ListenerId id = 0;
+    /// Tunes so far: the tune ordinal that keys the listener's phase.
+    std::uint32_t epoch = 0;
+  };
+  struct Announcement {
+    sim::SimTime at;
+    ListenerId id = 0;
+    std::uint32_t epoch = 0;
+
+    bool operator<(const Announcement& o) const {
+      if (at != o.at) return at < o.at;
+      if (id != o.id) return id < o.id;
+      return epoch < o.epoch;
+    }
+  };
+  static_assert(sizeof(Listener) == 16 && sizeof(Announcement) == 16);
+
+  /// Touched only by its shard's thread (and the coordinator between
+  /// windows); padded so two shards never share a line.
+  struct alignas(64) Block {
+    sim::Simulation* kernel = nullptr;
+    /// Sorted by id.
+    std::vector<Listener> table;
+    /// Sorted; entries before `next` were served. Released once drained.
+    std::vector<Announcement> queue;
+    std::size_t next = 0;
+    /// The kernel event armed for the queue head.
+    sim::EventId pending = sim::kInvalidEvent;
+    /// The generation on air at this shard (0: none yet) and, with several
+    /// shards, its capsule.
+    std::uint64_t generation = 0;
+    std::shared_ptr<const SignallingCapsule> capsule;
+    std::size_t tuned = 0;
+    obs::Counter announcements;
+  };
+
+  Block& block(std::uint32_t shard);
+  /// Build `shard`'s batch for a commit of `generation` at `at`, replacing
+  /// whatever an older generation left queued.
+  void announce(std::uint32_t shard, std::uint64_t generation,
+                sim::SimTime at,
+                std::shared_ptr<const SignallingCapsule> capsule);
+  /// (Re-)arm `shard`'s event at its queue head, or at now if that is
+  /// later.
+  void arm(std::uint32_t shard);
+  /// The event: deliver every announcement due now, in queue order.
+  void deliver_due(std::uint32_t shard);
+
+  BroadcastMedium& medium_;
+  sim::ShardedSimulation* sharded_ = nullptr;
+  std::uint64_t seed_;
+  sim::SimTime repetition_;
+  std::vector<Block> blocks_;
+};
+
+}  // namespace oddci::broadcast

@@ -10,16 +10,11 @@ BroadcastChannel::BroadcastChannel(sim::Simulation& simulation,
                                    TransportStream transport,
                                    std::uint64_t seed,
                                    sim::SimTime table_repetition)
-    : simulation_(simulation),
+    : BroadcastMedium(simulation, seed, table_repetition),
+      simulation_(simulation),
       transport_(std::move(transport)),
       carousel_(transport_.unused()),
-      table_repetition_(table_repetition),
-      rng_(seed) {
-  if (table_repetition <= sim::SimTime::zero()) {
-    throw std::invalid_argument(
-        "BroadcastChannel: table repetition must be positive");
-  }
-}
+      rng_(seed) {}
 
 std::uint64_t BroadcastChannel::commit() {
   carousel_.set_rate(transport_.unused());
@@ -38,50 +33,15 @@ std::uint64_t BroadcastChannel::commit() {
                     obs::TraceComponent::kCarousel, {}, generation,
                     carousel_.current().files.size());
   }
-  if (sharded_ != nullptr && sharded_->shard_count() > 1) {
-    // Freeze this generation's signalling once; every cross-shard delivery
-    // shares the same immutable capsule.
-    capsule_ = std::make_shared<const SignallingCapsule>(SignallingCapsule{
+  std::shared_ptr<const SignallingCapsule> capsule;
+  if (audience_.shard_count() > 1) {
+    // Freeze this generation's signalling once; every shard's listeners
+    // share the same immutable capsule.
+    capsule = std::make_shared<const SignallingCapsule>(SignallingCapsule{
         ait_, carousel_.current(), section_loss_, section_size_});
   }
-  for (const auto& [id, listener] : listeners_) {
-    (void)listener;
-    schedule_acquisition(id);
-  }
+  audience_.commit(generation, std::move(capsule));
   return generation;
-}
-
-void BroadcastChannel::schedule_acquisition(ListenerId id) {
-  if (counters_ != nullptr) ++counters_->announcements;
-  // Phase delay until the receiver sees the updated tables on air.
-  const double phase_s =
-      rng_.uniform(0.0, table_repetition_.seconds());
-  const std::uint64_t generation = carousel_.current().generation;
-  simulation_.schedule_timer_in(
-      sim::SimTime::from_seconds(phase_s),
-      [this, id, generation] {
-        auto it = listeners_.find(id);
-        if (it == listeners_.end()) return;        // untuned meanwhile
-        if (carousel_.current().generation != generation) {
-          return;  // superseded by a newer commit; its own event will fire
-        }
-        if (sharded_ == nullptr || sharded_->shard_count() == 1) {
-          it->second->on_signalling(ait_, carousel_.current());
-          return;
-        }
-        // Sharded: the superseded check above ran live on the channel's
-        // shard; only the final delivery crosses, as a frozen capsule.
-        const std::uint32_t shard = listener_shard(id);
-        if (shard == 0) {
-          it->second->on_signalling_capsule(capsule_);
-          return;
-        }
-        sharded_->post(0, shard, simulation_.now(),
-                       [listener = it->second, capsule = capsule_] {
-                         listener->on_signalling_capsule(capsule);
-                       });
-      },
-      sim::SimTime::zero(), sim::EventPriority::kDelivery);
 }
 
 void BroadcastChannel::set_section_loss(double per_section_loss,
@@ -123,38 +83,5 @@ std::optional<sim::SimTime> BroadcastChannel::file_ready_at(
   return *base + sim::SimTime::from_seconds(
                      extra_cycles * carousel_.current().cycle_seconds());
 }
-
-ListenerId BroadcastChannel::tune(BroadcastListener* listener) {
-  if (listener == nullptr) {
-    throw std::invalid_argument("BroadcastChannel: null listener");
-  }
-  const ListenerId id = next_listener_++;
-  listeners_.emplace(id, listener);
-  if (carousel_.has_committed()) {
-    schedule_acquisition(id);
-  }
-  return id;
-}
-
-ListenerId BroadcastChannel::tune_with_id(ListenerId id,
-                                          BroadcastListener* listener,
-                                          std::uint32_t shard) {
-  if (listener == nullptr) {
-    throw std::invalid_argument("BroadcastChannel: null listener");
-  }
-  if (id == 0 || listeners_.count(id) > 0) {
-    throw std::invalid_argument("BroadcastChannel: bad stable listener id");
-  }
-  // Stay clear of the auto-assigned range so plain tune() never collides.
-  next_listener_ = std::max(next_listener_, id + 1);
-  listeners_.emplace(id, listener);
-  listener_shards_[id] = shard;
-  if (carousel_.has_committed()) {
-    schedule_acquisition(id);
-  }
-  return id;
-}
-
-void BroadcastChannel::untune(ListenerId id) { listeners_.erase(id); }
 
 }  // namespace oddci::broadcast

@@ -1,14 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "broadcast/ait.hpp"
 #include "broadcast/carousel.hpp"
 #include "broadcast/medium.hpp"
 #include "broadcast/transport_stream.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -18,22 +15,10 @@
 ///
 /// Receivers `tune()` in and are notified whenever new signalling starts to
 /// be transmitted. Acquisition is not instantaneous: tables repeat with a
-/// configurable period, so each receiver observes a change after a random
+/// configurable period, so each receiver observes a change after its own
 /// phase delay in [0, repetition_period) — this models the real spread in
 /// trigger-application launch times across a population of set-top boxes.
 namespace oddci::broadcast {
-
-/// Immutable copy of one generation's on-air signalling, shared across
-/// shards of the sharded kernel: the channel (control shard) freezes its
-/// AIT, carousel snapshot and loss model at commit; receivers on other
-/// shards retain the capsule and compute acquisition times from it without
-/// ever touching the live channel.
-struct SignallingCapsule {
-  Ait ait;
-  CarouselSnapshot snapshot;
-  double section_loss = 0.0;
-  util::Bits section_size;
-};
 
 /// Extra full carousel cycles needed to capture every section of `file`
 /// under i.i.d. per-section loss `p` (in (0,1)), inverted from one
@@ -47,31 +32,12 @@ struct SignallingCapsule {
                                                util::Bits section_size,
                                                double u);
 
-class BroadcastListener {
- public:
-  virtual ~BroadcastListener() = default;
-
-  /// New signalling (AIT version and/or carousel generation) acquired.
-  virtual void on_signalling(const Ait& ait,
-                             const CarouselSnapshot& snapshot) = 0;
-
-  /// Sharded-kernel delivery: signalling that crosses shards travels as a
-  /// shared immutable capsule. The default unwraps to on_signalling.
-  virtual void on_signalling_capsule(
-      const std::shared_ptr<const SignallingCapsule>& capsule) {
-    on_signalling(capsule->ait, capsule->snapshot);
-  }
-};
-
 class BroadcastChannel final : public BroadcastMedium {
  public:
   BroadcastChannel(sim::Simulation& simulation, TransportStream transport,
                    std::uint64_t seed,
                    sim::SimTime table_repetition =
                        sim::SimTime::from_millis(500));
-
-  BroadcastChannel(const BroadcastChannel&) = delete;
-  BroadcastChannel& operator=(const BroadcastChannel&) = delete;
 
   [[nodiscard]] const TransportStream& transport() const { return transport_; }
   [[nodiscard]] util::BitRate carousel_rate() const {
@@ -98,33 +64,10 @@ class BroadcastChannel final : public BroadcastMedium {
   }
 
   /// Atomically start transmitting the staged carousel and current AIT.
-  /// Every tuned listener is scheduled to acquire the new signalling after
-  /// its own phase delay. Returns the new carousel generation.
+  /// Every tuned listener acquires the new signalling after its own phase
+  /// delay; with several shards they get a capsule frozen here. Returns
+  /// the new carousel generation.
   std::uint64_t commit() override;
-
-  /// Attach a listener (receiver tuned to this channel). If signalling is
-  /// already on air, the listener acquires it after a phase delay.
-  ListenerId tune(BroadcastListener* listener) override;
-
-  /// Sharded-kernel tune: the caller supplies a stable listener id (so the
-  /// same receiver keeps its id across power cycles — cross-shard re-tunes
-  /// stay deterministic) and its kernel shard, which routes capsule
-  /// deliveries. Must only run on the channel's own (control) shard.
-  ListenerId tune_with_id(ListenerId id, BroadcastListener* listener,
-                          std::uint32_t shard) override;
-
-  /// Detach; pending acquisitions for this listener are dropped.
-  void untune(ListenerId id) override;
-
-  /// Attach the sharded kernel: acquisition timers stay on the channel's
-  /// shard, but the final signalling delivery to a listener on another
-  /// shard is posted through the kernel mailbox as a capsule. Call before
-  /// any tune or commit.
-  void set_sharded(sim::ShardedSimulation* sharded) { sharded_ = sharded; }
-
-  [[nodiscard]] std::size_t tuned_count() const override {
-    return listeners_.size();
-  }
 
   /// Mean acquisition is 1.5 cycles; by two full cycles a clean-channel
   /// receiver has certainly seen every module once.
@@ -153,30 +96,14 @@ class BroadcastChannel final : public BroadcastMedium {
   [[nodiscard]] std::uint64_t commits() const { return commit_count_; }
 
  private:
-  void schedule_acquisition(ListenerId id);
-  [[nodiscard]] std::uint32_t listener_shard(ListenerId id) const {
-    auto it = listener_shards_.find(id);
-    return it != listener_shards_.end() ? it->second : 0u;
-  }
-
   sim::Simulation& simulation_;
   TransportStream transport_;
   Ait ait_;
   ObjectCarousel carousel_;
-  sim::SimTime table_repetition_;
   double section_loss_ = 0.0;
   util::Bits section_size_ = util::Bits::from_kilobytes(4);
   util::Random rng_;
-  std::unordered_map<ListenerId, BroadcastListener*> listeners_;
-  /// Shard homes survive untune: a listener id is bound to its shard for
-  /// the life of the channel (ids are stable across power cycles).
-  std::unordered_map<ListenerId, std::uint32_t> listener_shards_;
-  ListenerId next_listener_ = 1;
   std::uint64_t commit_count_ = 0;
-  sim::ShardedSimulation* sharded_ = nullptr;
-  /// Current generation's frozen signalling (built at commit when the
-  /// kernel has multiple shards).
-  std::shared_ptr<const SignallingCapsule> capsule_;
 };
 
 }  // namespace oddci::broadcast

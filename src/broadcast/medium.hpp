@@ -5,6 +5,7 @@
 #include <string>
 
 #include "broadcast/ait.hpp"
+#include "broadcast/audience.hpp"
 #include "broadcast/carousel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -17,15 +18,16 @@
 /// broadband, mobile networks, IPTV. The OddCI components only need the
 /// operations below; `BroadcastChannel` (DSM-CC carousel over a DTV
 /// transport stream) and `MulticastChannel` (block-coded IP multicast
-/// sessions) are the two provided implementations.
+/// sessions) are the two provided implementations. Both reach their
+/// listeners through one `Audience` (audience.hpp).
 namespace oddci::broadcast {
-
-class BroadcastListener;
-using ListenerId = std::uint64_t;
 
 class BroadcastMedium {
  public:
   virtual ~BroadcastMedium() = default;
+
+  BroadcastMedium(const BroadcastMedium&) = delete;
+  BroadcastMedium& operator=(const BroadcastMedium&) = delete;
 
   // --- signalling -----------------------------------------------------------
   /// The application-information table announced on this medium.
@@ -44,18 +46,38 @@ class BroadcastMedium {
   [[nodiscard]] virtual const CarouselSnapshot& current() const = 0;
 
   // --- receivers --------------------------------------------------------------
-  virtual ListenerId tune(BroadcastListener* listener) = 0;
-  /// Sharded-kernel tune with a caller-chosen stable id and the listener's
-  /// kernel shard (used to route deliveries). Media that do not support
-  /// sharding fall back to a plain tune and ignore both.
-  virtual ListenerId tune_with_id(ListenerId id, BroadcastListener* listener,
-                                  std::uint32_t shard) {
-    (void)id;
-    (void)shard;
-    return tune(listener);
+  /// Attach `listener` under its stable `id` on kernel shard `shard` (0
+  /// without a sharded kernel), from that shard's thread. If signalling is
+  /// on air there, the listener acquires it after its phase delay.
+  void tune(ListenerId id, BroadcastListener* listener, std::uint32_t shard) {
+    audience_.tune(id, listener, shard);
   }
-  virtual void untune(ListenerId id) = 0;
-  [[nodiscard]] virtual std::size_t tuned_count() const = 0;
+  /// Detach, from `shard`'s thread; a pending acquisition is dropped.
+  void untune(ListenerId id, std::uint32_t shard) {
+    audience_.untune(id, shard);
+  }
+  /// Read between windows.
+  [[nodiscard]] std::size_t tuned_count() const {
+    return audience_.tuned_count();
+  }
+  /// Per-listener announcements so far (one per tuned listener per commit,
+  /// plus one per tune while on air); read between windows.
+  [[nodiscard]] std::uint64_t announcements() const {
+    return audience_.announcements();
+  }
+  /// When, after a commit of `generation`, listener `id` on its
+  /// `ordinal`-th tune acquires the signalling.
+  [[nodiscard]] sim::SimTime announcement_phase(std::uint64_t generation,
+                                                ListenerId id,
+                                                std::uint32_t ordinal) const {
+    return audience_.phase(generation, id, ordinal);
+  }
+  /// Attach the sharded kernel: each shard's listeners are announced on
+  /// their own shard. Call before any tune or commit; with several shards
+  /// the medium must freeze a capsule at every commit.
+  void set_sharded(sim::ShardedSimulation& sharded) {
+    audience_.set_sharded(sharded);
+  }
 
   /// When a receiver that starts listening at `listen_from` has fully
   /// acquired the named file (technology-specific; may be stochastic).
@@ -68,9 +90,9 @@ class BroadcastMedium {
   [[nodiscard]] virtual double acquisition_horizon_seconds() const = 0;
 
   // --- observability ----------------------------------------------------------
-  /// Attach shared broadcast counters (commits, staged/removed files,
-  /// per-listener announcements). nullptr detaches. The cells must outlive
-  /// the medium; all media of one system may share one block.
+  /// Attach shared broadcast counters (commits, staged/removed files).
+  /// nullptr detaches. The cells must outlive the medium; all media of one
+  /// system may share one block, since they all run on the control shard.
   void set_counters(obs::BroadcastCounters* counters) { counters_ = counters; }
 
   /// Attach a flight recorder: every commit() is emitted as an
@@ -80,6 +102,13 @@ class BroadcastMedium {
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
  protected:
+  /// Listeners hear each commit `repetition * U(key)` after it, keyed off
+  /// `seed`.
+  BroadcastMedium(sim::Simulation& simulation, std::uint64_t seed,
+                  sim::SimTime repetition)
+      : audience_(*this, simulation, seed, repetition) {}
+
+  Audience audience_;
   obs::BroadcastCounters* counters_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
 };

@@ -26,7 +26,8 @@ MulticastChannel::MulticastChannel(sim::Simulation& simulation,
                                    util::BitRate capacity,
                                    std::uint64_t seed,
                                    MulticastOptions options)
-    : simulation_(simulation),
+    : BroadcastMedium(simulation, seed, options.announce_repetition),
+      simulation_(simulation),
       capacity_(capacity),
       options_(options),
       rng_(seed) {
@@ -78,42 +79,9 @@ std::uint64_t MulticastChannel::commit() {
                     obs::TraceComponent::kCarousel, {}, active_.generation,
                     active_.files.size());
   }
-  for (const auto& [id, listener] : listeners_) {
-    (void)listener;
-    schedule_announcement(id);
-  }
+  audience_.commit(active_.generation, nullptr);
   return active_.generation;
 }
-
-void MulticastChannel::schedule_announcement(ListenerId id) {
-  if (counters_ != nullptr) ++counters_->announcements;
-  const double jitter_s =
-      rng_.uniform(0.0, options_.announce_repetition.seconds());
-  const std::uint64_t generation = active_.generation;
-  simulation_.schedule_timer_in(
-      sim::SimTime::from_seconds(jitter_s),
-      [this, id, generation] {
-        auto it = listeners_.find(id);
-        if (it == listeners_.end()) return;
-        if (active_.generation != generation) return;  // superseded
-        it->second->on_signalling(ait_, active_);
-      },
-      sim::SimTime::zero(), sim::EventPriority::kDelivery);
-}
-
-ListenerId MulticastChannel::tune(BroadcastListener* listener) {
-  if (listener == nullptr) {
-    throw std::invalid_argument("MulticastChannel: null listener");
-  }
-  const ListenerId id = next_listener_++;
-  listeners_.emplace(id, listener);
-  if (active_.generation > 0) {
-    schedule_announcement(id);
-  }
-  return id;
-}
-
-void MulticastChannel::untune(ListenerId id) { listeners_.erase(id); }
 
 double MulticastChannel::session_rate_bps(const CarouselFile& file) const {
   // Sessions are sized proportionally to their content, with a small floor

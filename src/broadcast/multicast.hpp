@@ -1,9 +1,7 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 
-#include "broadcast/channel.hpp"  // BroadcastListener
 #include "broadcast/medium.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -24,8 +22,9 @@
 ///    extra carousel cycles.
 ///
 /// Signalling (the AIT analogue) is a session announcement repeated every
-/// `announce_repetition`, giving each tuned receiver a uniform jitter
-/// before it reacts to a commit — same semantics as the DTV tables.
+/// `announce_repetition`, giving each tuned receiver its own phase before
+/// it reacts to a commit — the same Audience as the DTV tables. Multicast
+/// runs on one shard only: it freezes no capsule.
 namespace oddci::broadcast {
 
 struct MulticastOptions {
@@ -49,9 +48,6 @@ class MulticastChannel final : public BroadcastMedium {
   MulticastChannel(sim::Simulation& simulation, util::BitRate capacity,
                    std::uint64_t seed, MulticastOptions options = {});
 
-  MulticastChannel(const MulticastChannel&) = delete;
-  MulticastChannel& operator=(const MulticastChannel&) = delete;
-
   [[nodiscard]] util::BitRate capacity() const { return capacity_; }
 
   // --- BroadcastMedium --------------------------------------------------------
@@ -63,11 +59,6 @@ class MulticastChannel final : public BroadcastMedium {
   [[nodiscard]] const CarouselSnapshot& current() const override {
     return active_;
   }
-  ListenerId tune(BroadcastListener* listener) override;
-  void untune(ListenerId id) override;
-  [[nodiscard]] std::size_t tuned_count() const override {
-    return listeners_.size();
-  }
   [[nodiscard]] std::optional<sim::SimTime> file_ready_at(
       const std::string& name, sim::SimTime listen_from) override;
   [[nodiscard]] double acquisition_horizon_seconds() const override;
@@ -77,7 +68,6 @@ class MulticastChannel final : public BroadcastMedium {
       const std::string& name) const;
 
  private:
-  void schedule_announcement(ListenerId id);
   [[nodiscard]] double session_rate_bps(const CarouselFile& file) const;
 
   sim::Simulation& simulation_;
@@ -89,9 +79,6 @@ class MulticastChannel final : public BroadcastMedium {
   std::map<std::string, CarouselFile> staged_;
   CarouselSnapshot active_;
   std::uint64_t next_generation_ = 1;
-
-  std::unordered_map<ListenerId, BroadcastListener*> listeners_;
-  ListenerId next_listener_ = 1;
 };
 
 }  // namespace oddci::broadcast

@@ -111,9 +111,13 @@ void Backend::on_message(net::NodeId from, const net::MessagePtr& message) {
       if (!active_ || abort.instance() != instance_) break;
       const std::uint64_t index = abort.task_index();
       // Naive aborts always carry replica 0, so the composite key stays
-      // numerically identical to the raw index there.
+      // numerically identical to the raw index there. Only the assignee
+      // can hand a task back: a late or duplicated abort must not cancel
+      // the task's re-dispatch to another PNA.
+      const auto out = outstanding_.find(vkey(index, abort.replica()));
       if (index < done_.size() && !done_[index] && !failed_[index] &&
-          outstanding_.erase(vkey(index, abort.replica())) > 0) {
+          out != outstanding_.end() && out->second.assignee == from) {
+        outstanding_.erase(out);
         ++metrics_.aborts_received;
         if (verifier_ == nullptr && tracer_ != nullptr) {
           tracer_->discard("task.cycle", index);

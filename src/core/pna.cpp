@@ -463,7 +463,7 @@ void PnaXlet::schedule_task_poll() {
   });
 }
 
-void PnaXlet::on_direct_message(net::NodeId /*from*/,
+void PnaXlet::on_direct_message(net::NodeId from,
                                 const net::MessagePtr& message) {
   if (hung_) return;
   switch (message->tag()) {
@@ -479,9 +479,16 @@ void PnaXlet::on_direct_message(net::NodeId /*from*/,
     }
     case kTagTaskAssign: {
       ++request_gen_;  // the request was answered; stop the watchdog
-      if (!dve_) break;  // reset raced with an in-flight assignment
       const auto& assign = static_cast<const TaskAssignMessage&>(*message);
-      if (assign.instance() != dve_->instance()) break;
+      if (!dve_ || assign.instance() != dve_->instance()) {
+        // A reset raced with the assignment: hand the task back now rather
+        // than leave it to the Backend's re-dispatch timeout.
+        context_->receiver().send(
+            from, std::make_shared<TaskAbortMessage>(
+                      assign.instance(), assign.task_index(), pna_id(),
+                      assign.trace(), assign.replica()));
+        break;
+      }
       // Duplicate delivery of an assignment we are already executing (or a
       // second assignment racing a watchdog re-request): keep the first.
       if (running_exec_ != 0) break;

@@ -1,12 +1,23 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "broadcast/transport_stream.hpp"
 #include "util/logging.hpp"
 
 namespace oddci::core {
+namespace {
+
+std::string ms(sim::SimTime t) {
+  std::ostringstream out;
+  out << t.seconds() * 1e3 << " ms";
+  return out.str();
+}
+
+}  // namespace
 
 void SystemConfig::validate() const {
   if (receivers == 0) {
@@ -35,6 +46,18 @@ void SystemConfig::validate() const {
   }
   if (window < sim::SimTime::zero()) {
     throw std::invalid_argument("SystemConfig: window must be >= 0");
+  }
+  if (shards > 1) {
+    // A window wider than the shortest cross-shard wire would hold a
+    // network delivery back to a later boundary than its arrival.
+    const sim::SimTime wire = std::min(receiver_latency, server_latency);
+    if (kernel_window() > wire) {
+      throw std::invalid_argument(
+          "SystemConfig: window " + ms(kernel_window()) +
+          " exceeds the shortest cross-shard wire (receiver_latency " +
+          ms(receiver_latency) + ", server_latency " + ms(server_latency) +
+          ")");
+    }
   }
   control.validate();
   if (controller.default_heartbeat <= sim::SimTime::zero()) {
@@ -106,6 +129,17 @@ void SystemConfig::validate() const {
   }
 }
 
+sim::SimTime SystemConfig::kernel_window() const {
+  if (window > sim::SimTime::zero()) return window;
+  // Auto: the shortest cross-shard wire (receiver vs server propagation
+  // delay) bounds how far a boundary clamp can defer a delivery; floor at
+  // 1 ms so tiny latencies don't thrash the barrier and cap at 5 ms so huge
+  // ones don't make windows needlessly coarse.
+  return std::clamp(std::min(receiver_latency, server_latency),
+                    sim::SimTime::from_millis(1),
+                    sim::SimTime::from_millis(5));
+}
+
 double RunResult::efficiency(std::size_t n, double device_task_seconds,
                              std::size_t node_count) const {
   if (makespan_seconds <= 0.0 || node_count == 0) return 0.0;
@@ -118,20 +152,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
 
   sim::ShardedSimulation::Options kopts;
   kopts.shards = config_.shards;
-  kopts.window = config_.window;
-  if (kopts.window <= sim::SimTime::zero()) {
-    // Auto window: the shortest cross-shard wire (receiver vs server
-    // propagation delay) bounds how far a boundary clamp can defer a
-    // delivery; floor at 1 ms so tiny latencies don't thrash the barrier
-    // and cap at 5 ms so huge ones don't make windows needlessly coarse.
-    kopts.window = std::min(config_.receiver_latency, config_.server_latency);
-    if (kopts.window < sim::SimTime::from_millis(1)) {
-      kopts.window = sim::SimTime::from_millis(1);
-    }
-    if (kopts.window > sim::SimTime::from_millis(5)) {
-      kopts.window = sim::SimTime::from_millis(5);
-    }
-  }
+  kopts.window = config_.kernel_window();
   sharded_ = std::make_unique<sim::ShardedSimulation>(kopts);
   simulation_ = &sharded_->control();
   const std::size_t K = sharded_->shard_count();
@@ -188,7 +209,7 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     if (config_.section_loss > 0.0) {
       dtv->set_section_loss(config_.section_loss);
     }
-    dtv->set_sharded(sharded_.get());
+    dtv->set_sharded(*sharded_);
     channels_.push_back(std::move(dtv));
   }
 
@@ -401,7 +422,6 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     pna_seeds_.push_back(rng.engine().next());
     receiver->application_manager().set_registry(&xlets_);
     receiver->set_shard_context(sharded_.get(), static_cast<std::uint32_t>(s),
-                                static_cast<broadcast::ListenerId>(i + 1),
                                 &shards_[s].loss_rng);
     if (rng.uniform() < config_.tuned_fraction) {
       receiver->tune(*channels_[i % channels_.size()]);
@@ -409,9 +429,6 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     receivers_.push_back(std::move(receiver));
   }
   network_->set_register_shard(0);
-  // Construction-time tunes above ran direct (single-threaded); from here
-  // on, off-control-shard receivers route (un)tunes through the mailboxes.
-  for (auto& r : receivers_) r->activate_shard_routing();
 
   // Adversarial profile table: built after the receivers so it can key
   // collusion on their aggregator regions (node id % A). The table is a
@@ -607,6 +624,13 @@ void OddciSystem::wire_observability() {
   for (auto& channel : channels_) {
     channel->set_counters(&broadcast_counters_);
   }
+  // Announcements are counted on each listener's shard, in the channels'
+  // per-shard cells.
+  registry_->link_counter_fn("broadcast.announcements", [this] {
+    std::uint64_t sum = 0;
+    for (const auto& channel : channels_) sum += channel->announcements();
+    return sum;
+  });
 
   // Fan-out effectiveness: one signature hash per broadcast per shard,
   // recycled heartbeat messages.

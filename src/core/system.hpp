@@ -159,8 +159,12 @@ struct SystemConfig {
   std::size_t shards = 1;
   /// Conservative window width for shards > 1. Zero = auto: the minimum
   /// cross-shard delivery latency (receiver vs server propagation delay),
-  /// capped at 5 ms so boundary clamping never exceeds the shortest wire.
+  /// clamped to [1 ms, 5 ms]. With shards > 1, validate() rejects a window
+  /// (explicit or auto) wider than that latency: a wider one would clamp
+  /// network deliveries to later boundaries.
   sim::SimTime window = sim::SimTime::zero();
+  /// The window the kernel runs with: `window`, or the auto width.
+  [[nodiscard]] sim::SimTime kernel_window() const;
 
   /// Observability. Instrumentation counters are always live (they are
   /// plain increments); this controls the registry/sampler/tracer harness.

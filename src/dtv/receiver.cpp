@@ -33,10 +33,9 @@ Receiver::Receiver(sim::Simulation& simulation, net::Network& network,
 }
 
 Receiver::~Receiver() {
-  // Teardown is single-threaded (the kernel has stopped); talk to the
-  // channel directly regardless of shard routing.
+  // Teardown is single-threaded (the kernel has stopped).
   if (channel_ != nullptr) {
-    channel_->untune(listener_id_);
+    channel_->untune(listener_id(), shard_);
   }
   if (node_id_ != net::kInvalidNode && network_.attached(node_id_)) {
     network_.unregister_endpoint(node_id_);
@@ -45,16 +44,13 @@ Receiver::~Receiver() {
 
 void Receiver::set_shard_context(sim::ShardedSimulation* sharded,
                                  std::uint32_t shard,
-                                 broadcast::ListenerId stable_listener_id,
                                  util::Random* loss_rng) {
   if (sharded != nullptr && sharded->shard_count() > 1 &&
-      (stable_listener_id == 0 || loss_rng == nullptr)) {
-    throw std::invalid_argument(
-        "Receiver: sharded context needs a stable listener id and loss rng");
+      loss_rng == nullptr) {
+    throw std::invalid_argument("Receiver: sharded context needs a loss rng");
   }
   sharded_ = sharded;
   shard_ = shard;
-  stable_listener_id_ = static_cast<std::uint32_t>(stable_listener_id);
   loss_rng_ = loss_rng;
 }
 
@@ -66,38 +62,6 @@ const broadcast::CarouselSnapshot* Receiver::current_carousel() const {
     return capsule_ != nullptr ? &capsule_->snapshot : nullptr;
   }
   return &channel_->current();
-}
-
-void Receiver::channel_tune() {
-  if (!sharded_mode()) {
-    listener_id_ = channel_->tune(this);
-    return;
-  }
-  listener_id_ = stable_listener_id_;
-  if (shard_ == 0 || !shard_routing_live_) {
-    channel_->tune_with_id(stable_listener_id_, this, shard_);
-    return;
-  }
-  // The channel lives on the control shard; mailbox FIFO order keeps
-  // tune/untune sequences from one receiver in program order.
-  sharded_->post(shard_, 0, simulation_.now(), [this, channel = channel_] {
-    channel->tune_with_id(stable_listener_id_, this, shard_);
-  });
-}
-
-void Receiver::channel_untune() {
-  if (!sharded_mode()) {
-    channel_->untune(listener_id_);
-    return;
-  }
-  if (shard_ == 0 || !shard_routing_live_) {
-    channel_->untune(stable_listener_id_);
-    return;
-  }
-  sharded_->post(shard_, 0, simulation_.now(),
-                 [channel = channel_, id = stable_listener_id_] {
-                   channel->untune(id);
-                 });
 }
 
 void Receiver::set_power_mode(PowerMode mode) {
@@ -119,8 +83,7 @@ void Receiver::set_power_mode(PowerMode mode) {
     handler_ = nullptr;
     capsule_.reset();
     if (channel_ != nullptr) {
-      channel_untune();
-      listener_id_ = 0;
+      channel_->untune(listener_id(), shard_);
     }
     network_.unregister_endpoint(node_id_);
     return;
@@ -131,7 +94,7 @@ void Receiver::set_power_mode(PowerMode mode) {
     network_.reattach_endpoint(node_id_, this);
     cpu_free_at_ = simulation_.now();
     if (channel_ != nullptr) {
-      channel_tune();
+      channel_->tune(listener_id(), this, shard_);
     }
   }
   // Standby <-> in-use transitions only change the slowdown of *future*
@@ -150,7 +113,7 @@ void Receiver::tune(broadcast::BroadcastMedium& channel) {
   }
   if (powered()) {
     ++session_;  // invalidate carousel reads from the previous channel
-    channel_tune();
+    channel_->tune(listener_id(), this, shard_);
   }
 }
 
@@ -163,10 +126,9 @@ void Receiver::untune() {
   ++session_;
   apps_.destroy_all();  // a channel change kills broadcast applications
   if (powered()) {
-    channel_untune();
+    channel_->untune(listener_id(), shard_);
   }
   channel_ = nullptr;
-  listener_id_ = 0;
   capsule_.reset();
 }
 
@@ -276,8 +238,6 @@ void Receiver::on_signalling(const broadcast::Ait& ait,
 
 void Receiver::on_signalling_capsule(
     const std::shared_ptr<const broadcast::SignallingCapsule>& capsule) {
-  // Cross-shard deliveries can lag a power-off or channel change by up to
-  // one window; drop them instead of resurrecting state.
   if (!powered() || channel_ == nullptr) return;
   capsule_ = capsule;
   autostart_from_ait(capsule->ait);

@@ -57,23 +57,19 @@ class Receiver final : public broadcast::BroadcastListener,
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   // --- sharded kernel -------------------------------------------------------
-  /// Place this receiver on kernel shard `shard`. `stable_listener_id` is
-  /// its channel listener id for life (so cross-shard re-tunes after power
-  /// cycles stay deterministic); `loss_rng` is the shard's section-loss
-  /// stream (shared by the shard's receivers, drawn in event order). The
-  /// receiver's `simulation` reference must already be the shard's kernel.
-  /// With a single shard this is a no-op configuration.
+  /// Place this receiver on kernel shard `shard`; `loss_rng` is the shard's
+  /// section-loss stream (shared by the shard's receivers, drawn in event
+  /// order). The receiver's `simulation` reference must already be the
+  /// shard's kernel. With a single shard this is a no-op configuration.
   void set_shard_context(sim::ShardedSimulation* sharded, std::uint32_t shard,
-                         broadcast::ListenerId stable_listener_id,
                          util::Random* loss_rng);
 
-  /// Construction is single-threaded: until this is called, tuner changes
-  /// reach the channel directly. Call once the population is built (before
-  /// the first run); from then on, receivers on non-control shards post
-  /// tune/untune through the kernel mailbox.
-  void activate_shard_routing() { shard_routing_live_ = true; }
-
   [[nodiscard]] std::uint32_t shard() const { return shard_; }
+  /// This receiver's id on every medium it tunes, for life: its node id
+  /// plus one, so a power cycle re-tunes under the same id at every K.
+  [[nodiscard]] broadcast::ListenerId listener_id() const {
+    return static_cast<broadcast::ListenerId>(node_id_) + 1;
+  }
 
   /// The carousel view this receiver acts on: the live channel snapshot in
   /// the classic kernel, the retained signalling capsule under sharding.
@@ -160,16 +156,11 @@ class Receiver final : public broadcast::BroadcastListener,
   [[nodiscard]] bool sharded_mode() const {
     return sharded_ != nullptr && sharded_->shard_count() > 1;
   }
-  /// Tuner mutations under sharding: direct while single-threaded (or on
-  /// the control shard), mailbox-posted from worker shards.
-  void channel_tune();
-  void channel_untune();
 
   sim::Simulation& simulation_;
   net::Network& network_;
   const DeviceProfile* profile_;
   broadcast::BroadcastMedium* channel_ = nullptr;
-  broadcast::ListenerId listener_id_ = 0;
 
   ApplicationManager apps_;
   MessageHandler* handler_ = nullptr;
@@ -187,12 +178,10 @@ class Receiver final : public broadcast::BroadcastListener,
 
   net::NodeId node_id_ = net::kInvalidNode;
   std::uint32_t shard_ = 0;
-  std::uint32_t stable_listener_id_ = 0;
   /// Bumped whenever in-flight async work must be invalidated (power off,
   /// channel change).
   std::uint32_t session_ = 0;
   PowerMode power_ = PowerMode::kStandby;
-  bool shard_routing_live_ = false;
 };
 
 /// The failure value carousel-read callbacks receive.

@@ -337,7 +337,6 @@ void BroadcastCounters::link(MetricsRegistry& registry) const {
   registry.link_counter("broadcast.commits", commits);
   registry.link_counter("broadcast.files_staged", files_staged);
   registry.link_counter("broadcast.files_removed", files_removed);
-  registry.link_counter("broadcast.announcements", announcements);
 }
 
 }  // namespace oddci::obs

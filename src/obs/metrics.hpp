@@ -304,12 +304,13 @@ struct PnaCounters {
 };
 
 /// Shared counters for all broadcast media of one system (carousel and
-/// multicast channels alike).
+/// multicast channels alike), written on the control shard only. The
+/// per-listener announcements are counted on each listener's shard
+/// instead (BroadcastMedium::announcements()).
 struct BroadcastCounters {
   Counter commits;
   Counter files_staged;
   Counter files_removed;
-  Counter announcements;
 
   void link(MetricsRegistry& registry) const;
 };

@@ -40,8 +40,8 @@ TEST_F(ChannelTest, CarouselRateIsUnusedCapacity) {
 
 TEST_F(ChannelTest, CommitNotifiesTunedListenersWithinRepetition) {
   RecordingListener l1(sim), l2(sim);
-  channel.tune(&l1);
-  channel.tune(&l2);
+  channel.tune(1, &l1, 0);
+  channel.tune(2, &l2, 0);
   channel.carousel().put_file("f", util::Bits(800), 1);
   channel.commit();
   sim.run();
@@ -57,7 +57,7 @@ TEST_F(ChannelTest, LateTunerAcquiresCurrentSignalling) {
   channel.commit();
   sim.run();
   RecordingListener late(sim);
-  channel.tune(&late);
+  channel.tune(1, &late, 0);
   sim.run();
   ASSERT_EQ(late.events.size(), 1u);
   EXPECT_EQ(late.events[0].generation, 1u);
@@ -65,15 +65,15 @@ TEST_F(ChannelTest, LateTunerAcquiresCurrentSignalling) {
 
 TEST_F(ChannelTest, TuneBeforeAnyCommitDeliversNothing) {
   RecordingListener l(sim);
-  channel.tune(&l);
+  channel.tune(1, &l, 0);
   sim.run();
   EXPECT_TRUE(l.events.empty());
 }
 
 TEST_F(ChannelTest, UntunedListenerMissesUpdates) {
   RecordingListener l(sim);
-  const ListenerId id = channel.tune(&l);
-  channel.untune(id);
+  channel.tune(1, &l, 0);
+  channel.untune(1, 0);
   channel.carousel().put_file("f", util::Bits(800), 1);
   channel.commit();
   sim.run();
@@ -83,17 +83,17 @@ TEST_F(ChannelTest, UntunedListenerMissesUpdates) {
 
 TEST_F(ChannelTest, UntuneDuringPendingAcquisitionDropsIt) {
   RecordingListener l(sim);
-  const ListenerId id = channel.tune(&l);
+  channel.tune(1, &l, 0);
   channel.carousel().put_file("f", util::Bits(800), 1);
   channel.commit();
-  channel.untune(id);  // before the phase delay elapses
+  channel.untune(1, 0);  // before the phase delay elapses
   sim.run();
   EXPECT_TRUE(l.events.empty());
 }
 
 TEST_F(ChannelTest, SupersededCommitOnlyDeliversLatest) {
   RecordingListener l(sim);
-  channel.tune(&l);
+  channel.tune(1, &l, 0);
   channel.carousel().put_file("f", util::Bits(800), 1);
   channel.commit();
   channel.carousel().put_file("f", util::Bits(800), 2);
@@ -105,7 +105,7 @@ TEST_F(ChannelTest, SupersededCommitOnlyDeliversLatest) {
 
 TEST_F(ChannelTest, AitTravelsWithSignalling) {
   RecordingListener l(sim);
-  channel.tune(&l);
+  channel.tune(1, &l, 0);
   AitEntry e;
   e.application_id = 1;
   e.control_code = AppControlCode::kAutostart;

@@ -69,7 +69,7 @@ TEST_F(MulticastTest, LossInflatesGracefully) {
 
 TEST_F(MulticastTest, ListenersNotifiedOnCommitAndLateTune) {
   Recorder early(sim);
-  channel.tune(&early);
+  channel.tune(1, &early, 0);
   channel.put_file("f", util::Bits(800), 1);
   channel.commit();
   sim.run_until(sim::SimTime::from_seconds(1));
@@ -77,7 +77,7 @@ TEST_F(MulticastTest, ListenersNotifiedOnCommitAndLateTune) {
   EXPECT_LE(early.events[0].at.seconds(), 0.5);
 
   Recorder late(sim);
-  channel.tune(&late);
+  channel.tune(2, &late, 0);
   sim.run_until(sim::SimTime::from_seconds(2));
   ASSERT_EQ(late.events.size(), 1u);
   EXPECT_EQ(late.events[0].generation, 1u);
@@ -85,8 +85,8 @@ TEST_F(MulticastTest, ListenersNotifiedOnCommitAndLateTune) {
 
 TEST_F(MulticastTest, UntunedListenerDropped) {
   Recorder r(sim);
-  const auto id = channel.tune(&r);
-  channel.untune(id);
+  channel.tune(1, &r, 0);
+  channel.untune(1, 0);
   channel.put_file("f", util::Bits(800), 1);
   channel.commit();
   sim.run();
@@ -129,7 +129,7 @@ TEST_F(MulticastTest, Validation) {
   EXPECT_THROW(channel.put_file("", util::Bits(8), 1), std::invalid_argument);
   EXPECT_THROW(channel.put_file("f", util::Bits(0), 1),
                std::invalid_argument);
-  EXPECT_THROW(channel.tune(nullptr), std::invalid_argument);
+  EXPECT_THROW(channel.tune(1, nullptr, 0), std::invalid_argument);
   EXPECT_FALSE(channel.file_ready_at("missing", sim.now()));
 }
 

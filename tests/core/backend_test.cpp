@@ -32,6 +32,11 @@ class FakePna final : public net::Endpoint {
     }
   }
 
+  void abort(net::NodeId backend, InstanceId instance, std::uint64_t index) {
+    net_->send(id_, backend,
+               std::make_shared<TaskAbortMessage>(instance, index, id_));
+  }
+
   void complete(net::NodeId backend, const TaskAssignMessage& assign) {
     net_->send(id_, backend,
                std::make_shared<TaskResultMessage>(
@@ -140,6 +145,29 @@ TEST_F(BackendTest, DuplicateResultsCountedOnce) {
   EXPECT_EQ(backend.metrics().duplicate_results, 3u);
   EXPECT_EQ(backend.metrics().late_results, 1u);
   EXPECT_EQ(backend.tasks_done(), 4u);
+}
+
+TEST_F(BackendTest, OnlyTheAssigneeCanHandATaskBack) {
+  Backend backend(sim, net, fast);
+  backend.submit(job, 1, [] {});
+  FakePna holder(sim, net);
+  FakePna stranger(sim, net);
+  holder.request(backend.node_id(), 1);
+  sim.run();
+  ASSERT_EQ(holder.assigns.size(), 1u);
+  // A stale hand-back from a PNA that does not hold task 0 is ignored.
+  stranger.abort(backend.node_id(), 1, 0);
+  sim.run();
+  EXPECT_EQ(backend.metrics().aborts_received, 0u);
+  EXPECT_EQ(backend.tasks_remaining(), 4u);
+  // The assignee's hand-back requeues it behind tasks 1-3.
+  holder.abort(backend.node_id(), 1, 0);
+  sim.run();
+  EXPECT_EQ(backend.metrics().aborts_received, 1u);
+  for (int i = 0; i < 4; ++i) stranger.request(backend.node_id(), 1);
+  sim.run();
+  ASSERT_EQ(stranger.assigns.size(), 4u);
+  EXPECT_EQ(stranger.assigns[3]->task_index(), 0u);
 }
 
 TEST_F(BackendTest, TimeoutRequeuesLostTasks) {

@@ -74,11 +74,15 @@ class FakeBackend final : public net::Endpoint {
       }
     } else if (message->tag() == kTagTaskResult) {
       ++results;
+    } else if (message->tag() == kTagTaskAbort) {
+      aborted.push_back(
+          static_cast<const TaskAbortMessage&>(*message).task_index());
     }
   }
 
   int requests = 0;
   int results = 0;
+  std::vector<std::uint64_t> aborted;
   [[nodiscard]] net::NodeId id() const { return id_; }
 
  private:
@@ -282,6 +286,26 @@ TEST_F(PnaTest, UnicastResetViaHeartbeatReply) {
   sim.run_until(sim::SimTime::from_seconds(400));
   EXPECT_EQ(pna()->state(), PnaState::kIdle);
   EXPECT_EQ(counters.resets.value(), 1u);
+}
+
+TEST_F(PnaTest, AssignmentRacingAResetIsHandedBack) {
+  // The reset crossed an assignment on the wire: the PNA has left the
+  // instance when the task lands, and hands it straight back rather than
+  // leaving it to the Backend's re-dispatch timeout.
+  stage_control(wakeup(7));
+  sim.run_until(sim::SimTime::from_seconds(300));
+  ASSERT_EQ(pna()->state(), PnaState::kBusy);
+  controller.reset_on_next_beat = 7;
+  sim.run_until(sim::SimTime::from_seconds(400));
+  ASSERT_EQ(pna()->state(), PnaState::kIdle);
+  net.send(backend.id(), receiver->node_id(),
+           std::make_shared<TaskAssignMessage>(
+               7, 41, util::Bits::from_bytes(512),
+               util::Bits::from_bytes(256), 2.0));
+  sim.run_until(sim::SimTime::from_seconds(401));
+  ASSERT_EQ(backend.aborted.size(), 1u);
+  EXPECT_EQ(backend.aborted[0], 41u);
+  EXPECT_EQ(counters.tasks_completed.value(), 3u);  // the scripted three
 }
 
 TEST_F(PnaTest, JoiningStateReportedWhileImageLoads) {

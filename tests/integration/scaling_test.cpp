@@ -149,22 +149,27 @@ TEST(OddciIptv, JobCompletesOverMulticast) {
 
 TEST(OddciIptv, WakeupFasterThanCarousel) {
   // Block-coded multicast has no carousel phase wait: wakeup ~ I/beta
-  // (plus FEC) instead of ~1.5 I/beta.
-  auto wakeup_for = [](BroadcastTechnology tech) {
-    SystemConfig config;
-    config.receivers = 120;
-    config.technology = tech;
-    config.seed = 49;
-    config.control.overshoot_margin = 1.3;
-    OddciSystem system(config);
-    const auto result = system.run_job(small_job(50, 30.0), 60,
-                                       sim::SimTime::from_hours(12));
-    return result.wakeup_seconds;
+  // (plus FEC) instead of ~1.5 I/beta. One carousel run can land within
+  // the FEC overhead of its best case I/beta and beat multicast, so the
+  // claim is about the mean over seeds.
+  auto mean_wakeup = [](BroadcastTechnology tech) {
+    double sum = 0.0;
+    for (std::uint64_t seed = 49; seed < 54; ++seed) {
+      SystemConfig config;
+      config.receivers = 120;
+      config.technology = tech;
+      config.seed = seed;
+      config.control.overshoot_margin = 1.3;
+      OddciSystem system(config);
+      const auto result = system.run_job(small_job(50, 30.0), 60,
+                                         sim::SimTime::from_hours(12));
+      EXPECT_GT(result.wakeup_seconds, 0.0) << "seed " << seed;
+      sum += result.wakeup_seconds;
+    }
+    return sum / 5.0;
   };
-  const double dtv = wakeup_for(BroadcastTechnology::kDtvCarousel);
-  const double iptv = wakeup_for(BroadcastTechnology::kIpMulticast);
-  ASSERT_GT(dtv, 0.0);
-  ASSERT_GT(iptv, 0.0);
+  const double dtv = mean_wakeup(BroadcastTechnology::kDtvCarousel);
+  const double iptv = mean_wakeup(BroadcastTechnology::kIpMulticast);
   EXPECT_LT(iptv, dtv);
 }
 

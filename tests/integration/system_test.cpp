@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "workload/job.hpp"
 
 namespace oddci::core {
@@ -143,6 +145,33 @@ TEST(SystemIntegration, ConfigValidation) {
   config = SystemConfig{};
   config.initial_power = dtv::PowerMode::kOff;
   EXPECT_THROW(OddciSystem{config}, std::invalid_argument);
+}
+
+TEST(SystemIntegration, ShardedWindowMustNotExceedTheShortestWire) {
+  // A window wider than the shortest cross-shard wire would clamp network
+  // deliveries to later boundaries than their arrival.
+  SystemConfig config;
+  config.shards = 2;
+  config.window = sim::SimTime::from_millis(20);
+  try {
+    config.validate();
+    ADD_FAILURE() << "a 20 ms window over a 5 ms wire was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("window 20 ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("receiver_latency 50 ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("server_latency 5 ms"), std::string::npos) << what;
+  }
+  config.window = sim::SimTime::from_millis(5);
+  EXPECT_NO_THROW(config.validate());
+  // The auto window is floored at 1 ms, wider than a sub-millisecond wire.
+  config.window = sim::SimTime::zero();
+  config.server_latency = sim::SimTime::from_micros(500);
+  EXPECT_EQ(config.kernel_window(), sim::SimTime::from_millis(1));
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // A lone shard has no windows.
+  config.shards = 1;
+  EXPECT_NO_THROW(config.validate());
 }
 
 // busy_pna_count() finds agents under the AIT application id the

@@ -17,7 +17,6 @@
 #include <iostream>
 #include <new>
 
-#include "broadcast/channel.hpp"
 #include "core/pna.hpp"
 #include "core/system.hpp"
 #include "dtv/xlet.hpp"
@@ -140,20 +139,34 @@ static_assert(sizeof(PnaXlet) <= 256,
               "PnaXlet is per-receiver hot state: keep it small");
 
 constexpr std::size_t kReceivers = 10'000;
-/// Live heap bytes each idle receiver may add: 770 B measured, plus 5%
+/// Live heap bytes each idle receiver may add: 748 B measured, plus 5%
 /// (see DESIGN.md §5 for the breakdown).
-constexpr double kLiveBytesBudget = 808.0;
+constexpr double kLiveBytesBudget = 785.0;
 
 /// Heap a deployed, warmed-up population holds (and its high-water mark on
-/// the way there). The allocation count excludes the channels' listener
-/// tables, which hold one node per tuned receiver (an allocation of the
-/// broadcast layer), and the kernels' slab chunks, one heap block per
-/// 4,096 event or timer slots; their bytes are counted.
+/// the way there). The allocation count excludes the kernels' slab chunks,
+/// one heap block per 4,096 event or timer slots; their bytes are counted.
 struct Footprint {
   double allocs = 0.0;
   double live_bytes = 0.0;
   double peak_bytes = 0.0;
 };
+
+std::size_t kernel_chunks(OddciSystem& system) {
+  std::size_t chunks = 0;
+  for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+    chunks += system.kernel().shard(s).slab_chunks();
+  }
+  return chunks;
+}
+
+std::size_t armed_timers(OddciSystem& system) {
+  std::size_t timers = 0;
+  for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+    timers += system.kernel().shard(s).timers().active_timers();
+  }
+  return timers;
+}
 
 Footprint measure_idle_population(std::size_t receivers) {
   SystemConfig config;
@@ -168,18 +181,10 @@ Footprint measure_idle_population(std::size_t receivers) {
   system.controller().deploy_pna();
   system.kernel().run_until(system.simulation().now() + config.warmup);
 
-  std::int64_t listener_nodes = 0;
-  for (const auto& channel : system.channels()) {
-    listener_nodes += static_cast<std::int64_t>(channel->tuned_count());
-  }
-  std::int64_t slab_chunks = 0;
-  for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
-    slab_chunks +=
-        static_cast<std::int64_t>(system.kernel().shard(s).slab_chunks());
-  }
+  const auto slab_chunks = static_cast<std::int64_t>(kernel_chunks(system));
   Footprint f;
-  f.allocs = static_cast<double>(g_live_allocs.load() - allocs0 -
-                                 listener_nodes - slab_chunks);
+  f.allocs =
+      static_cast<double>(g_live_allocs.load() - allocs0 - slab_chunks);
   f.live_bytes = static_cast<double>(g_live_bytes.load() - bytes0);
   f.peak_bytes = static_cast<double>(g_peak_bytes.load() - bytes0);
   return f;
@@ -217,9 +222,6 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
   PnaXlet* agent = nullptr;
   dtv::XletContext* context = nullptr;
   const std::uint32_t generation = 7;
-  broadcast::BroadcastChannel* channel = nullptr;
-  const broadcast::ListenerId listener = 42;
-  const std::uint64_t carousel_generation = 3;
 
   const std::int64_t allocs0 = g_live_allocs.load();
   constexpr int kEach = 1000;
@@ -235,18 +237,32 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
           (void)gen;
           fn();
         });
-    // BroadcastChannel::schedule_acquisition and
-    // MulticastChannel::schedule_announcement: the commit fan-out.
-    simulation.schedule_timer_in(
-        delay, [channel, listener, carousel_generation] {
-          (void)channel;
-          (void)listener;
-          (void)carousel_generation;
-        });
   }
-  // 3,000 timers fit the first chunk: not one heap block was added.
+  // 2,000 timers fit the first chunk: not one heap block was added.
   EXPECT_EQ(g_live_allocs.load(), allocs0);
-  EXPECT_EQ(simulation.timers().active_timers(), 3u * kEach);
+  EXPECT_EQ(simulation.timers().active_timers(), 2u * kEach);
+}
+
+TEST(MemoryBudget, RecommitOnAWarmPopulationArmsNoTimerAndNoChunk) {
+  // A commit reaches every tuned receiver through its shard's announcement
+  // queue, not a timer per listener: once the population has warmed up, a
+  // second commit leaves the wheels and the slabs as they were.
+  SystemConfig config;
+  config.receivers = 2 * kReceivers;
+  config.seed = 20261016;
+  OddciSystem system(config);
+  system.controller().deploy_pna();
+  system.kernel().run_until(system.simulation().now() + config.warmup);
+
+  const std::size_t chunks = kernel_chunks(system);
+  const std::size_t timers = armed_timers(system);
+  const std::uint64_t announced = system.channel().announcements();
+  system.channel().commit();
+  EXPECT_EQ(armed_timers(system), timers);
+  EXPECT_EQ(system.channel().announcements() - announced, 2 * kReceivers);
+  system.kernel().run_until(system.simulation().now() +
+                            config.table_repetition);
+  EXPECT_EQ(kernel_chunks(system), chunks);
 }
 
 TEST(MemoryBudget, ReplacedAllocatorCountsEveryOverload) {
