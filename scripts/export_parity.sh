@@ -5,8 +5,10 @@
 #   scripts/export_parity.sh <base-rev>
 #
 # Builds oddci_runner (Release) twice: for <base-rev>, exported with
-# `git archive` into build-parity/base-src, and for the working tree. Then
-# runs the same 17 seeded scenarios on both and compares, per run, the
+# `git archive` into build-parity/base-src, and for the working tree, which
+# is built from scratch on every run (an object compiled from a header
+# edited mid-build would otherwise link into a mixed runner). Then runs
+# the same 18 seeded scenarios on both and compares, per run, the
 # metrics JSON, the series CSV and the Chrome trace with `cmp`, plus stdout
 # without its `scenario:` line (the path differs). Each side runs its own
 # scenario files, so a change to a scenario shows up as a difference.
@@ -36,7 +38,7 @@ build_runner() {  # <source dir> <build dir>
 }
 
 echo "building base ${base_rev:0:12} and the working tree"
-rm -rf "$work/base-src" "$work/out"
+rm -rf "$work/base-src" "$work/head-build" "$work/out"
 mkdir -p "$work/base-src"
 git -C "$root" archive "$base_rev" | tar -x -C "$work/base-src"
 build_runner "$work/base-src" "$work/base-build" || exit 2
@@ -63,6 +65,7 @@ runs=(
   "lossy_evening_k1|lossy_evening|shards=1"
   "lossy_evening_k2|lossy_evening|shards=2"
   "iptv_aggregated_k1|iptv_aggregated|shards=1"
+  "iptv_aggregated_k4|iptv_aggregated|shards=4"
   "byzantine_10pct_k1|byzantine_10pct|shards=1 receivers=20000"
   "byzantine_10pct_k4|byzantine_10pct|shards=4 receivers=20000"
   "profiled_churny_k1|profiled_churny_k8|shards=1 receivers=8000 progress=false profile_json="

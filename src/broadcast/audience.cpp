@@ -1,10 +1,10 @@
 #include "broadcast/audience.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "broadcast/medium.hpp"
 #include "util/rng.hpp"
 
 namespace oddci::broadcast {
@@ -18,12 +18,58 @@ auto seat(Table& table, ListenerId id) {
       [](const auto& entry, ListenerId key) { return entry.id < key; });
 }
 
+/// A key's second field: a listener id and one of its ordinals.
+std::uint64_t listener_key(ListenerId id, std::uint32_t ordinal) {
+  return std::uint64_t{id} << 32 | ordinal;
+}
+
+/// Extra full carousel cycles needed to capture every section of `file`
+/// under i.i.d. per-section loss `p` in (0, 1), inverted from one uniform
+/// sample `u`. Each section needs Geometric(1-p) passes and the file
+/// completes when the slowest section lands: P(max passes <= m) =
+/// (1 - p^m)^k, so m = ceil( log(1 - u^(1/k)) / log(p) ).
+double section_loss_extra_cycles(const CarouselFile& file, double p,
+                                 util::Bits section_size, double u) {
+  const auto sections = static_cast<double>(
+      (file.size.count() + section_size.count() - 1) / section_size.count());
+  const double root = std::pow(u, 1.0 / sections);
+  double passes = 1.0;
+  if (root < 1.0) {
+    passes = std::ceil(std::log1p(-root) / std::log(p));
+    passes = std::max(passes, 1.0);
+  }
+  return passes - 1.0;
+}
+
 }  // namespace
 
-Audience::Audience(BroadcastMedium& medium, sim::Simulation& simulation,
-                   std::uint64_t seed, sim::SimTime repetition)
-    : medium_(medium),
-      seed_(util::stream_seed(seed, "broadcast.announce")),
+std::optional<sim::SimTime> SignallingCapsule::ready_at(
+    const std::string& name, sim::SimTime from, double u) const {
+  const CarouselFile* file = snapshot.find(name);
+  if (file == nullptr) return std::nullopt;
+  if (!session_seconds.empty()) {
+    const auto i = static_cast<std::size_t>(file - snapshot.files.data());
+    return from +
+           sim::SimTime::from_seconds(session_seconds[i] * (0.98 + 0.04 * u));
+  }
+  std::optional<sim::SimTime> ready = snapshot.read_completion_time(name, from);
+  if (ready && section_loss > 0.0) {
+    const double extra =
+        section_loss_extra_cycles(*file, section_loss, section_size, u);
+    *ready += sim::SimTime::from_seconds(extra * snapshot.cycle_seconds());
+  }
+  return ready;
+}
+
+double SignallingCapsule::read_draw(ListenerId id,
+                                    std::uint32_t ordinal) const {
+  return util::keyed_uniform(read_seed, snapshot.generation,
+                             listener_key(id, ordinal));
+}
+
+Audience::Audience(sim::Simulation& simulation, std::uint64_t seed,
+                   sim::SimTime repetition)
+    : seed_(util::stream_seed(seed, "broadcast.announce")),
       repetition_(repetition),
       blocks_(1) {
   if (repetition <= sim::SimTime::zero()) {
@@ -35,7 +81,7 @@ Audience::Audience(BroadcastMedium& medium, sim::Simulation& simulation,
 
 void Audience::set_sharded(sim::ShardedSimulation& sharded) {
   if (blocks_.size() != 1 || !blocks_[0].table.empty() ||
-      blocks_[0].generation != 0) {
+      blocks_[0].capsule != nullptr) {
     throw std::logic_error(
         "Audience: attach the sharded kernel once, before any tune or "
         "commit");
@@ -56,12 +102,8 @@ Audience::Block& Audience::block(std::uint32_t shard) {
 
 sim::SimTime Audience::phase(std::uint64_t generation, ListenerId id,
                              std::uint32_t ordinal) const {
-  // SplitMix64 over the key, one field per step: no live generator, so a
-  // listener's draw depends on nothing but its own key.
-  const std::uint64_t g = util::SplitMix64(seed_ ^ generation).next();
-  const std::uint64_t h =
-      util::SplitMix64(g ^ (std::uint64_t{id} << 32 | ordinal)).next();
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  const double u =
+      util::keyed_uniform(seed_, generation, listener_key(id, ordinal));
   return sim::SimTime::from_micros(static_cast<std::int64_t>(
       u * static_cast<double>(repetition_.micros())));
 }
@@ -84,12 +126,13 @@ void Audience::tune(ListenerId id, BroadcastListener* listener,
   it->listener = listener;
   const std::uint32_t epoch = ++it->epoch;
   ++b.tuned;
-  if (b.generation == 0) return;  // nothing on air yet
+  if (b.capsule == nullptr) return;  // nothing on air yet
 
   // On air: this tune hears the current generation after its own phase.
   ++b.announcements;
-  const Announcement a{b.kernel->now() + phase(b.generation, id, epoch), id,
-                       epoch};
+  const Announcement a{
+      b.kernel->now() + phase(b.capsule->snapshot.generation, id, epoch), id,
+      epoch};
   const auto head = b.queue.begin() + static_cast<std::ptrdiff_t>(b.next);
   const auto pos = std::upper_bound(head, b.queue.end(), a);
   const bool first = pos == head;
@@ -105,26 +148,22 @@ void Audience::untune(ListenerId id, std::uint32_t shard) {
   --b.tuned;
 }
 
-void Audience::commit(std::uint64_t generation,
-                      std::shared_ptr<const SignallingCapsule> capsule) {
-  if (blocks_.size() > 1 && capsule == nullptr) {
-    throw std::logic_error(
-        "Audience: a commit on several shards needs a capsule");
+void Audience::commit(std::shared_ptr<const SignallingCapsule> capsule) {
+  if (capsule == nullptr) {
+    throw std::invalid_argument("Audience: a commit needs a capsule");
   }
   const sim::SimTime at = blocks_[0].kernel->now();
   for (std::uint32_t s = 1; s < blocks_.size(); ++s) {
-    sharded_->post(0, s, at, [this, s, generation, at, capsule] {
-      announce(s, generation, at, capsule);
-    });
+    sharded_->post(0, s, at,
+                   [this, s, at, capsule] { announce(s, at, capsule); });
   }
-  announce(0, generation, at, std::move(capsule));
+  announce(0, at, std::move(capsule));
 }
 
-void Audience::announce(std::uint32_t shard, std::uint64_t generation,
-                        sim::SimTime at,
+void Audience::announce(std::uint32_t shard, sim::SimTime at,
                         std::shared_ptr<const SignallingCapsule> capsule) {
   Block& b = blocks_[shard];
-  b.generation = generation;
+  const std::uint64_t generation = capsule->snapshot.generation;
   b.capsule = std::move(capsule);
   b.queue.clear();
   b.next = 0;
@@ -165,11 +204,7 @@ void Audience::deliver_due(std::uint32_t shard) {
         it->epoch != a.epoch) {
       continue;
     }
-    if (b.capsule != nullptr) {
-      it->listener->on_signalling_capsule(b.capsule);
-    } else {
-      it->listener->on_signalling(medium_.ait(), medium_.current());
-    }
+    it->listener->on_signalling_capsule(b.capsule);
   }
   if (b.next == b.queue.size()) {
     // Drained: the queue holds memory only while a commit is on its way.

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "broadcast/ait.hpp"
@@ -26,55 +28,64 @@
 /// boundary, where the commit's mail arrives).
 namespace oddci::broadcast {
 
-class BroadcastMedium;
-
 /// A listener's id on a medium: nonzero, unique per medium, and stable for
 /// the listener's life (a receiver keeps it across power cycles).
 using ListenerId = std::uint32_t;
 
-/// Immutable copy of one generation's on-air signalling, shared across
-/// shards of the sharded kernel: the channel (control shard) freezes its
-/// AIT, carousel snapshot and loss model at commit; receivers on other
-/// shards retain the capsule and compute acquisition times from it without
-/// ever touching the live channel.
+/// Immutable copy of one generation's on-air signalling, frozen by the
+/// medium at every commit and shared by every shard: receivers act only on
+/// the capsule they have acquired, never on the live medium. It also holds
+/// the medium's acquisition rule, so a read is computed from the capsule
+/// alone.
 struct SignallingCapsule {
   Ait ait;
   CarouselSnapshot snapshot;
+  /// Keys the readers' draws (read_draw).
+  std::uint64_t read_seed = 0;
+  /// DSM-CC carousel: i.i.d. per-section loss and the section size.
   double section_loss = 0.0;
-  util::Bits section_size;
+  util::Bits section_size{};
+  /// Multicast sessions: each file's acquisition seconds, parallel to
+  /// `snapshot.files`. Empty on a carousel.
+  std::vector<double> session_seconds{};
+
+  /// When a reader that starts at `from` holds `name` in full, with `u` in
+  /// [0, 1) its draw for this read; nullopt if `name` is not on air. On a
+  /// carousel: the rotation wait and full read, plus the whole cycles that
+  /// section loss costs (quantile `u`). On multicast sessions: the file's
+  /// acquisition seconds times a block-arrival jitter of 0.98 + 0.04 u.
+  [[nodiscard]] std::optional<sim::SimTime> ready_at(const std::string& name,
+                                                     sim::SimTime from,
+                                                     double u) const;
+  /// Reader `id`'s draw for its `ordinal`-th read: a pure function of
+  /// (medium seed, generation, id, ordinal), in [0, 1).
+  [[nodiscard]] double read_draw(ListenerId id, std::uint32_t ordinal) const;
 };
 
 class BroadcastListener {
  public:
   virtual ~BroadcastListener() = default;
 
-  /// New signalling (AIT version and/or carousel generation) acquired.
-  virtual void on_signalling(const Ait& ait,
-                             const CarouselSnapshot& snapshot) = 0;
-
-  /// Sharded-kernel delivery: signalling that crosses shards travels as a
-  /// shared immutable capsule. The default unwraps to on_signalling.
+  /// New signalling (AIT version and/or carousel generation) acquired, as
+  /// the capsule the medium froze at its commit.
   virtual void on_signalling_capsule(
-      const std::shared_ptr<const SignallingCapsule>& capsule) {
-    on_signalling(capsule->ait, capsule->snapshot);
-  }
+      const std::shared_ptr<const SignallingCapsule>& capsule) = 0;
 };
 
 class Audience {
  public:
   /// One shard on `simulation` until set_sharded(). Announcements reach a
   /// listener `repetition * U(key)` after a commit (or after an on-air
-  /// tune); `seed` keys the draws. With a single shard a due listener gets
-  /// `medium`'s live AIT and snapshot, with several the commit's capsule.
-  Audience(BroadcastMedium& medium, sim::Simulation& simulation,
-           std::uint64_t seed, sim::SimTime repetition);
+  /// tune); `seed` keys the draws. A due listener gets the commit's
+  /// capsule.
+  Audience(sim::Simulation& simulation, std::uint64_t seed,
+           sim::SimTime repetition);
 
   Audience(const Audience&) = delete;
   Audience& operator=(const Audience&) = delete;
 
   /// One block per shard of `sharded`. Call before any tune or commit.
   void set_sharded(sim::ShardedSimulation& sharded);
-  [[nodiscard]] std::size_t shard_count() const { return blocks_.size(); }
 
   /// Attach `listener` under `id` on `shard`, from that shard's thread. If
   /// a generation is on air there, the listener is announced it `phase()`
@@ -85,12 +96,10 @@ class Audience {
   /// dropped. Untuning an id that is not tuned does nothing.
   void untune(ListenerId id, std::uint32_t shard);
 
-  /// Announce `generation` to every tuned listener, from the control shard
-  /// at its current time. The control shard's block is served at once and
-  /// every other shard gets one mail item carrying `capsule`, which is
-  /// required with several shards.
-  void commit(std::uint64_t generation,
-              std::shared_ptr<const SignallingCapsule> capsule);
+  /// Announce `capsule` (required) to every tuned listener, from the
+  /// control shard at its current time. The control shard's block is served
+  /// at once and every other shard gets one mail item carrying it.
+  void commit(std::shared_ptr<const SignallingCapsule> capsule);
 
   /// The delay after a commit of `generation` (or after the on-air tune)
   /// at which listener `id` on its `ordinal`-th tune hears it: in
@@ -136,19 +145,16 @@ class Audience {
     std::size_t next = 0;
     /// The kernel event armed for the queue head.
     sim::EventId pending = sim::kInvalidEvent;
-    /// The generation on air at this shard (0: none yet) and, with several
-    /// shards, its capsule.
-    std::uint64_t generation = 0;
+    /// The capsule on air at this shard (null: none yet).
     std::shared_ptr<const SignallingCapsule> capsule;
     std::size_t tuned = 0;
     obs::Counter announcements;
   };
 
   Block& block(std::uint32_t shard);
-  /// Build `shard`'s batch for a commit of `generation` at `at`, replacing
+  /// Build `shard`'s batch for a commit of `capsule` at `at`, replacing
   /// whatever an older generation left queued.
-  void announce(std::uint32_t shard, std::uint64_t generation,
-                sim::SimTime at,
+  void announce(std::uint32_t shard, sim::SimTime at,
                 std::shared_ptr<const SignallingCapsule> capsule);
   /// (Re-)arm `shard`'s event at its queue head, or at now if that is
   /// later.
@@ -156,7 +162,6 @@ class Audience {
   /// The event: deliver every announcement due now, in queue order.
   void deliver_due(std::uint32_t shard);
 
-  BroadcastMedium& medium_;
   sim::ShardedSimulation* sharded_ = nullptr;
   std::uint64_t seed_;
   sim::SimTime repetition_;

@@ -43,9 +43,8 @@ struct CarouselSnapshot {
   std::int64_t phase_bits = 0;
   std::vector<CarouselFile> files;
   /// Bit offset of each file within the cycle (parallel to `files`). Part
-  /// of the snapshot so that a receiver holding a retained copy (sharded
-  /// kernel: snapshots travel to receiver shards inside signalling
-  /// capsules) can compute read times without touching the live carousel.
+  /// of the snapshot so that a receiver holding a retained copy (inside
+  /// its signalling capsule) computes read times without the live carousel.
   std::vector<std::int64_t> offsets;
 
   [[nodiscard]] util::Bits total_size() const;

@@ -1,7 +1,5 @@
 #include "broadcast/channel.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace oddci::broadcast {
@@ -33,14 +31,10 @@ std::uint64_t BroadcastChannel::commit() {
                     obs::TraceComponent::kCarousel, {}, generation,
                     carousel_.current().files.size());
   }
-  std::shared_ptr<const SignallingCapsule> capsule;
-  if (audience_.shard_count() > 1) {
-    // Freeze this generation's signalling once; every shard's listeners
-    // share the same immutable capsule.
-    capsule = std::make_shared<const SignallingCapsule>(SignallingCapsule{
-        ait_, carousel_.current(), section_loss_, section_size_});
-  }
-  audience_.commit(generation, std::move(capsule));
+  publish({.ait = ait_,
+           .snapshot = carousel_.current(),
+           .section_loss = section_loss_,
+           .section_size = section_size_});
   return generation;
 }
 
@@ -56,32 +50,6 @@ void BroadcastChannel::set_section_loss(double per_section_loss,
   }
   section_loss_ = per_section_loss;
   section_size_ = section_size;
-}
-
-double section_loss_extra_cycles(const CarouselFile& file, double p,
-                                 util::Bits section_size, double u) {
-  const auto sections = static_cast<double>(
-      (file.size.count() + section_size.count() - 1) / section_size.count());
-  const double root = std::pow(u, 1.0 / sections);
-  double passes = 1.0;
-  if (root < 1.0) {
-    passes = std::ceil(std::log1p(-root) / std::log(p));
-    passes = std::max(passes, 1.0);
-  }
-  return passes - 1.0;
-}
-
-std::optional<sim::SimTime> BroadcastChannel::file_ready_at(
-    const std::string& name, sim::SimTime listen_from) {
-  auto base = carousel_.read_completion_time(name, listen_from);
-  if (!base || section_loss_ <= 0.0) return base;
-
-  const CarouselFile* file = carousel_.current().find(name);
-  const double u = rng_.uniform();
-  const double extra_cycles =
-      section_loss_extra_cycles(*file, section_loss_, section_size_, u);
-  return *base + sim::SimTime::from_seconds(
-                     extra_cycles * carousel_.current().cycle_seconds());
 }
 
 }  // namespace oddci::broadcast

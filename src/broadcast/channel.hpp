@@ -20,18 +20,6 @@
 /// trigger-application launch times across a population of set-top boxes.
 namespace oddci::broadcast {
 
-/// Extra full carousel cycles needed to capture every section of `file`
-/// under i.i.d. per-section loss `p` (in (0,1)), inverted from one
-/// pre-drawn Uniform(0,1) sample `u` — callers own the draw, so each RNG
-/// stream's consumption order is explicit. Each section needs
-/// Geometric(1-p) passes and the file completes when the slowest section
-/// lands: P(max passes <= m) = (1 - p^m)^k, so
-///   m = ceil( log(1 - u^(1/k)) / log(p) ).
-[[nodiscard]] double section_loss_extra_cycles(const CarouselFile& file,
-                                               double p,
-                                               util::Bits section_size,
-                                               double u);
-
 class BroadcastChannel final : public BroadcastMedium {
  public:
   BroadcastChannel(sim::Simulation& simulation, TransportStream transport,
@@ -64,8 +52,8 @@ class BroadcastChannel final : public BroadcastMedium {
   }
 
   /// Atomically start transmitting the staged carousel and current AIT.
-  /// Every tuned listener acquires the new signalling after its own phase
-  /// delay; with several shards they get a capsule frozen here. Returns
+  /// Every tuned listener acquires the capsule frozen here (signalling,
+  /// snapshot and section-loss model) after its own phase delay. Returns
   /// the new carousel generation.
   std::uint64_t commit() override;
 
@@ -79,19 +67,13 @@ class BroadcastChannel final : public BroadcastMedium {
   /// Broadcast reception is not loss-free: model an i.i.d. per-section
   /// loss probability (DSM-CC sections are ~4 KB). Receivers accumulate
   /// sections across cycles, so a lost section costs one extra carousel
-  /// cycle for that section; a file completes when its last section lands.
+  /// cycle for that section; a file completes when its last section lands
+  /// (SignallingCapsule::ready_at). Takes effect at the next commit.
   /// Default 0 (clean channel).
   void set_section_loss(
       double per_section_loss,
       util::Bits section_size = util::Bits::from_kilobytes(4));
   [[nodiscard]] double section_loss() const { return section_loss_; }
-
-  /// When a listener that starts reading at `listen_from` will have the
-  /// named carousel file fully acquired. With section loss enabled the
-  /// extra cycles are sampled from the channel's RNG (per call — each
-  /// receiver's reception experiences independent losses).
-  [[nodiscard]] std::optional<sim::SimTime> file_ready_at(
-      const std::string& name, sim::SimTime listen_from) override;
 
   [[nodiscard]] std::uint64_t commits() const { return commit_count_; }
 
@@ -102,6 +84,7 @@ class BroadcastChannel final : public BroadcastMedium {
   ObjectCarousel carousel_;
   double section_loss_ = 0.0;
   util::Bits section_size_ = util::Bits::from_kilobytes(4);
+  /// Draws each generation's cycle rotation, on the control shard.
   util::Random rng_;
   std::uint64_t commit_count_ = 0;
 };

@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "broadcast/ait.hpp"
 #include "broadcast/audience.hpp"
@@ -10,6 +11,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
+#include "util/rng.hpp"
 
 /// Abstraction over broadcast delivery technologies.
 ///
@@ -18,8 +20,10 @@
 /// broadband, mobile networks, IPTV. The OddCI components only need the
 /// operations below; `BroadcastChannel` (DSM-CC carousel over a DTV
 /// transport stream) and `MulticastChannel` (block-coded IP multicast
-/// sessions) are the two provided implementations. Both reach their
-/// listeners through one `Audience` (audience.hpp).
+/// sessions) are the two provided implementations. Both freeze a
+/// `SignallingCapsule` at every commit, holding the technology's
+/// acquisition rule, and reach their listeners through one `Audience`
+/// (audience.hpp).
 namespace oddci::broadcast {
 
 class BroadcastMedium {
@@ -44,6 +48,9 @@ class BroadcastMedium {
 
   /// Snapshot of what is currently on air.
   [[nodiscard]] virtual const CarouselSnapshot& current() const = 0;
+  /// The capsule the last commit froze (null before the first commit):
+  /// what listeners acquire, acquisition rule included. Control shard.
+  [[nodiscard]] const auto& on_air() const { return on_air_; }
 
   // --- receivers --------------------------------------------------------------
   /// Attach `listener` under its stable `id` on kernel shard `shard` (0
@@ -73,16 +80,10 @@ class BroadcastMedium {
     return audience_.phase(generation, id, ordinal);
   }
   /// Attach the sharded kernel: each shard's listeners are announced on
-  /// their own shard. Call before any tune or commit; with several shards
-  /// the medium must freeze a capsule at every commit.
+  /// their own shard. Call before any tune or commit.
   void set_sharded(sim::ShardedSimulation& sharded) {
     audience_.set_sharded(sharded);
   }
-
-  /// When a receiver that starts listening at `listen_from` has fully
-  /// acquired the named file (technology-specific; may be stochastic).
-  [[nodiscard]] virtual std::optional<sim::SimTime> file_ready_at(
-      const std::string& name, sim::SimTime listen_from) = 0;
 
   /// Upper-bound estimate of how long a willing receiver needs to acquire
   /// everything currently on air — the Controller waits this long before
@@ -102,15 +103,28 @@ class BroadcastMedium {
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
  protected:
-  /// Listeners hear each commit `repetition * U(key)` after it, keyed off
-  /// `seed`.
+  /// Listeners hear each commit `repetition * U(key)` after it; `seed`
+  /// keys that phase and the readers' draws.
   BroadcastMedium(sim::Simulation& simulation, std::uint64_t seed,
                   sim::SimTime repetition)
-      : audience_(*this, simulation, seed, repetition) {}
+      : audience_(simulation, seed, repetition),
+        read_seed_(util::stream_seed(seed, "broadcast.read")) {}
+
+  /// Freeze `capsule` (its snapshot is the new generation) as what is on
+  /// air and announce it to every tuned listener.
+  void publish(SignallingCapsule capsule) {
+    capsule.read_seed = read_seed_;
+    on_air_ = std::make_shared<const SignallingCapsule>(std::move(capsule));
+    audience_.commit(on_air_);
+  }
 
   Audience audience_;
   obs::BroadcastCounters* counters_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
+
+ private:
+  std::uint64_t read_seed_;
+  std::shared_ptr<const SignallingCapsule> on_air_;
 };
 
 }  // namespace oddci::broadcast

@@ -29,8 +29,7 @@ MulticastChannel::MulticastChannel(sim::Simulation& simulation,
     : BroadcastMedium(simulation, seed, options.announce_repetition),
       simulation_(simulation),
       capacity_(capacity),
-      options_(options),
-      rng_(seed) {
+      options_(options) {
   if (capacity.bps() <= 0.0) {
     throw std::invalid_argument("MulticastChannel: capacity must be > 0");
   }
@@ -79,7 +78,11 @@ std::uint64_t MulticastChannel::commit() {
                     obs::TraceComponent::kCarousel, {}, active_.generation,
                     active_.files.size());
   }
-  audience_.commit(active_.generation, nullptr);
+  std::vector<double> seconds;
+  for (const CarouselFile& file : active_.files) {
+    seconds.push_back(*acquisition_seconds(file.name));
+  }
+  publish({.ait = ait_, .snapshot = active_, .session_seconds = std::move(seconds)});
   return active_.generation;
 }
 
@@ -112,15 +115,6 @@ std::optional<double> MulticastChannel::acquisition_seconds(
   const double bits =
       static_cast<double>(file->size.count()) * (1.0 + options_.fec_overhead);
   return options_.join_latency.seconds() + bits / effective_rate;
-}
-
-std::optional<sim::SimTime> MulticastChannel::file_ready_at(
-    const std::string& name, sim::SimTime listen_from) {
-  const auto seconds = acquisition_seconds(name);
-  if (!seconds) return std::nullopt;
-  // Mild stochastic spread (block-arrival granularity, +-2%).
-  const double jitter = rng_.uniform(0.98, 1.02);
-  return listen_from + sim::SimTime::from_seconds(*seconds * jitter);
 }
 
 double MulticastChannel::acquisition_horizon_seconds() const {

@@ -1,10 +1,11 @@
 #pragma once
 
 #include <map>
+#include <optional>
+#include <string>
 
 #include "broadcast/medium.hpp"
 #include "sim/simulation.hpp"
-#include "util/rng.hpp"
 
 /// IP-multicast content delivery (the OddCI-IPTV variant of Section 3.3).
 ///
@@ -23,8 +24,9 @@
 ///
 /// Signalling (the AIT analogue) is a session announcement repeated every
 /// `announce_repetition`, giving each tuned receiver its own phase before
-/// it reacts to a commit — the same Audience as the DTV tables. Multicast
-/// runs on one shard only: it freezes no capsule.
+/// it reacts to a commit — the same Audience as the DTV tables. Each commit
+/// freezes a capsule carrying every session's acquisition seconds, so
+/// receivers on any shard compute reads from it.
 namespace oddci::broadcast {
 
 struct MulticastOptions {
@@ -59,8 +61,6 @@ class MulticastChannel final : public BroadcastMedium {
   [[nodiscard]] const CarouselSnapshot& current() const override {
     return active_;
   }
-  [[nodiscard]] std::optional<sim::SimTime> file_ready_at(
-      const std::string& name, sim::SimTime listen_from) override;
   [[nodiscard]] double acquisition_horizon_seconds() const override;
 
   /// Deterministic expected acquisition time for a file (no jitter term).
@@ -73,7 +73,6 @@ class MulticastChannel final : public BroadcastMedium {
   sim::Simulation& simulation_;
   util::BitRate capacity_;
   MulticastOptions options_;
-  util::Random rng_;
 
   Ait ait_;
   std::map<std::string, CarouselFile> staged_;

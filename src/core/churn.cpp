@@ -165,7 +165,7 @@ ChurnProcess::ChurnProcess(sim::Simulation& simulation,
                            std::uint64_t seed, ChurnOptions options)
     : simulation_(simulation),
       receivers_(std::move(receivers)),
-      rng_(seed),
+      seed_(seed),
       options_(options),
       active_(std::make_shared<bool>(false)) {
   options_.validate();
@@ -173,8 +173,15 @@ ChurnProcess::ChurnProcess(sim::Simulation& simulation,
 
 ChurnProcess::~ChurnProcess() { stop(); }
 
-dtv::PowerMode ChurnProcess::sample_on_mode() {
-  return rng_.bernoulli(options_.in_use_probability)
+double ChurnProcess::draw(std::uint32_t index, std::uint32_t ordinal,
+                          Draw what) const {
+  return util::keyed_uniform(seed_, receivers_[index]->node_id(),
+                             std::uint64_t{ordinal} << 2 | what);
+}
+
+dtv::PowerMode ChurnProcess::on_mode(std::uint32_t index,
+                                     std::uint32_t ordinal) const {
+  return draw(index, ordinal, kOnMode) < options_.in_use_probability
              ? dtv::PowerMode::kInUse
              : dtv::PowerMode::kStandby;
 }
@@ -184,45 +191,44 @@ void ChurnProcess::start() {
   const double on_fraction = options_.initial_on_fraction >= 0.0
                                  ? options_.initial_on_fraction
                                  : options_.steady_state_on_fraction();
-  for (std::size_t i = 0; i < receivers_.size(); ++i) {
-    if (rng_.bernoulli(on_fraction)) {
-      receivers_[i]->set_power_mode(sample_on_mode());
-    } else {
-      receivers_[i]->set_power_mode(dtv::PowerMode::kOff);
-    }
-    schedule_toggle(i);
+  for (std::uint32_t i = 0; i < receivers_.size(); ++i) {
+    receivers_[i]->set_power_mode(draw(i, 0, kInitial) < on_fraction
+                                      ? on_mode(i, 0)
+                                      : dtv::PowerMode::kOff);
+    schedule_toggle(i, 0);
   }
 }
 
 void ChurnProcess::stop() { *active_ = false; }
 
-void ChurnProcess::schedule_toggle(std::size_t index) {
-  const bool on = receivers_[index]->powered();
-  const double dwell = rng_.exponential(on ? options_.mean_on_seconds
-                                           : options_.mean_off_seconds);
+void ChurnProcess::schedule_toggle(std::uint32_t index,
+                                   std::uint32_t ordinal) {
+  const double mean = receivers_[index]->powered() ? options_.mean_on_seconds
+                                                   : options_.mean_off_seconds;
+  const double dwell = -mean * std::log(1.0 - draw(index, ordinal, kDwell));
   std::weak_ptr<bool> active = active_;
   // Dwell expiries ride the timer wheel: a million independent arrival
   // processes cost O(1) each instead of O(log n) heap churn.
   simulation_.schedule_timer_in(sim::SimTime::from_seconds(dwell),
-                                [this, index, active] {
+                                [this, index, ordinal, active] {
                                   auto guard = active.lock();
                                   if (!guard || !*guard) return;
-                                  toggle(index);
+                                  toggle(index, ordinal + 1);
                                 },
                                 sim::SimTime::zero(),
                                 sim::EventPriority::kDefault);
 }
 
-void ChurnProcess::toggle(std::size_t index) {
+void ChurnProcess::toggle(std::uint32_t index, std::uint32_t ordinal) {
   dtv::Receiver* receiver = receivers_[index];
   if (receiver->powered()) {
     receiver->set_power_mode(dtv::PowerMode::kOff);
     ++stats_.switch_offs;
   } else {
-    receiver->set_power_mode(sample_on_mode());
+    receiver->set_power_mode(on_mode(index, ordinal));
     ++stats_.switch_ons;
   }
-  schedule_toggle(index);
+  schedule_toggle(index, ordinal);
 }
 
 }  // namespace oddci::core

@@ -90,6 +90,9 @@ class ChurnProcess {
  public:
   /// Receivers must outlive the process. Call start() to (a) sample each
   /// receiver's initial power state and (b) begin the on/off cycling.
+  /// Every draw is keyed by (`seed`, receiver node id, toggle ordinal), so
+  /// a receiver cycles at the same instants whichever process drives it:
+  /// one per kernel shard share the seed.
   ChurnProcess(sim::Simulation& simulation,
                std::vector<dtv::Receiver*> receivers, std::uint64_t seed,
                ChurnOptions options);
@@ -108,13 +111,19 @@ class ChurnProcess {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void schedule_toggle(std::size_t index);
-  void toggle(std::size_t index);
-  [[nodiscard]] dtv::PowerMode sample_on_mode();
+  /// What a draw decides at one toggle ordinal (0: start()).
+  enum Draw : std::uint64_t { kInitial, kOnMode, kDwell };
+  /// Receiver `index`'s `what` draw at its `ordinal`-th toggle, in [0, 1).
+  [[nodiscard]] double draw(std::uint32_t index, std::uint32_t ordinal,
+                            Draw what) const;
+  [[nodiscard]] dtv::PowerMode on_mode(std::uint32_t index,
+                                       std::uint32_t ordinal) const;
+  void schedule_toggle(std::uint32_t index, std::uint32_t ordinal);
+  void toggle(std::uint32_t index, std::uint32_t ordinal);
 
   sim::Simulation& simulation_;
   std::vector<dtv::Receiver*> receivers_;
-  util::Random rng_;
+  std::uint64_t seed_;
   ChurnOptions options_;
   std::shared_ptr<bool> active_;
   Stats stats_;

@@ -5,8 +5,7 @@
 
 namespace oddci::core {
 
-PnaXlet::PnaXlet(const PnaEnvironment& environment, std::uint64_t seed)
-    : env_(&environment), rng_(seed) {
+PnaXlet::PnaXlet(const PnaEnvironment& environment) : env_(&environment) {
   if (env_->content_store == nullptr) {
     throw std::invalid_argument("PnaXlet: null content store");
   }
@@ -41,6 +40,12 @@ void PnaXlet::schedule_guarded(sim::SimTime delay, F fn) {
 
 std::uint64_t PnaXlet::pna_id() const {
   return context_ != nullptr ? context_->receiver().node_id() : 0;
+}
+
+double PnaXlet::draw() {
+  return util::keyed_uniform(
+      env_->draw_seed, pna_id(),
+      std::uint64_t{context_->generation()} << 32 | draws_++);
 }
 
 obs::TraceContext PnaXlet::trace_emit(obs::TraceEventKind kind,
@@ -226,7 +231,7 @@ void PnaXlet::handle_wakeup(const ControlMessage& message) {
   }
   // The probability attribute throttles how many idle PNAs handle the
   // message (instance-size control).
-  if (!rng_.bernoulli(message.probability)) {
+  if (!(draw() < message.probability)) {
     ++env_->counters->wakeups_dropped_probability;
     trace_emit(obs::TraceEventKind::kWakeupDroppedProbability, ctx(&TraceState::control),
                message.instance);
@@ -334,8 +339,7 @@ void PnaXlet::ensure_heartbeat(const ControlMessage& message) {
 
   auto& simulation = context_->simulation();
   // Desynchronize the population: first beat at a random phase.
-  const double phase =
-      rng_.uniform(0.0, message.heartbeat_interval.seconds());
+  const double phase = draw() * message.heartbeat_interval.seconds();
   heartbeat_ = simulation.schedule_timer_at(
       simulation.now() + sim::SimTime::from_seconds(phase),
       [this] { send_heartbeat(); }, message.heartbeat_interval,
@@ -357,15 +361,10 @@ void PnaXlet::send_heartbeat() {
     return;
   }
   pace_pending_ = true;
-  // Deterministic per-agent phase in [0, window): a pure hash of the
-  // pacing stream seed and the agent id — no live generator draw, so
-  // enabling pacing cannot perturb any other stream.
-  const std::uint64_t mix =
-      util::SplitMix64(env_->heartbeat_phase_seed ^
-                       (pna_id() * 0x9E3779B97F4A7C15ull))
-          .next();
+  // Deterministic per-agent phase in [0, window): keyed by the pacing
+  // stream seed and the agent id alone, the same slot in every life.
   const double frac =
-      static_cast<double>(mix >> 11) * (1.0 / 9007199254740992.0);
+      util::keyed_uniform(env_->heartbeat_phase_seed, pna_id(), 0);
   auto& simulation = context_->simulation();
   const sim::SimTime now = simulation.now();
   const std::int64_t wus = window.micros();
@@ -430,7 +429,7 @@ void PnaXlet::arm_result_retry() {
   const double backoff =
       env_->recovery->result_retry_base.seconds() *
       static_cast<double>(1ull << std::min(pending_result_->attempts, 16));
-  const double delay = backoff * (0.5 + rng_.uniform(0.0, 0.5));
+  const double delay = backoff * (0.5 + 0.5 * draw());
   schedule_guarded(sim::SimTime::from_seconds(delay), [this, gen] {
     if (!started_ || hung_) return;
     if (gen != result_gen_ || !pending_result_) return;

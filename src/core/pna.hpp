@@ -55,6 +55,9 @@ struct PnaEnvironment {
   /// Root of the per-agent pacing phase (a dedicated named RNG stream, so
   /// enabling pacing never perturbs the population's draw sequences).
   std::uint64_t heartbeat_phase_seed = 0;
+  /// Root of every agent's keyed draws (wakeup gate, first-heartbeat
+  /// phase, result-retry jitter): one named stream for the population.
+  std::uint64_t draw_seed = 0;
 
   /// Shard-shared memoized signature verification (required): with N
   /// agents sharing one cache, a broadcast costs one keyed hash, not N.
@@ -108,7 +111,7 @@ class PnaXlet final : public dtv::Xlet,
   /// `environment` is shared by reference across the agents of one kernel
   /// shard and must outlive the Xlet (deployment-wide state: one copy per
   /// shard, not one per agent).
-  PnaXlet(const PnaEnvironment& environment, std::uint64_t seed);
+  explicit PnaXlet(const PnaEnvironment& environment);
   ~PnaXlet() override;
 
   // --- dtv::Xlet ----------------------------------------------------------
@@ -196,6 +199,12 @@ class PnaXlet final : public dtv::Xlet,
   /// Schedule the unanswered-task-request watchdog.
   void arm_request_watchdog();
 
+  /// The agent's next draw in [0, 1): a pure function of (the
+  /// environment's draw seed, pna id, host generation, draw ordinal). The
+  /// generation outlives the Xlet and moves with every destroy, crash and
+  /// hang, so a relaunched agent never replays a previous life's draws.
+  double draw();
+
   /// Emit a trace event (no-op returning {} when no recorder is attached).
   obs::TraceContext trace_emit(obs::TraceEventKind kind,
                                obs::TraceContext parent, std::uint64_t arg);
@@ -230,7 +239,6 @@ class PnaXlet final : public dtv::Xlet,
   /// Deployment-wide environment, shared (not copied) population-wide: at
   /// 1M agents an embedded copy is ~100 MB of identical bytes.
   const PnaEnvironment* env_;
-  util::Random rng_;
   dtv::XletContext* context_ = nullptr;
 
   std::unique_ptr<Dve> dve_;
@@ -264,6 +272,8 @@ class PnaXlet final : public dtv::Xlet,
   /// wheel has no cancel; a stale firing sees a bumped generation).
   std::uint32_t result_gen_ = 0;
   std::uint32_t request_gen_ = 0;
+  /// Draws taken so far: the ordinal that keys the next draw().
+  std::uint32_t draws_ = 0;
 
   bool started_ = false;
   bool joining_ = false;

@@ -39,11 +39,6 @@ void SystemConfig::validate() const {
   if (shards == 0) {
     throw std::invalid_argument("SystemConfig: shards must be >= 1");
   }
-  if (shards > 1 && technology != BroadcastTechnology::kDtvCarousel) {
-    throw std::invalid_argument(
-        "SystemConfig: shards > 1 requires the DTV carousel (multicast "
-        "sessions are not shard-routed)");
-  }
   if (window < sim::SimTime::zero()) {
     throw std::invalid_argument("SystemConfig: window must be >= 0");
   }
@@ -199,18 +194,18 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
       mopts.announce_repetition = config_.table_repetition;
       channels_.push_back(std::make_unique<broadcast::MulticastChannel>(
           *simulation_, config_.beta, rng.engine().next(), mopts));
-      continue;
+    } else {
+      broadcast::TransportStream ts(
+          util::BitRate(config_.beta.bps() + signalling.bps()), signalling);
+      auto dtv = std::make_unique<broadcast::BroadcastChannel>(
+          *simulation_, std::move(ts), rng.engine().next(),
+          config_.table_repetition);
+      if (config_.section_loss > 0.0) {
+        dtv->set_section_loss(config_.section_loss);
+      }
+      channels_.push_back(std::move(dtv));
     }
-    broadcast::TransportStream ts(
-        util::BitRate(config_.beta.bps() + signalling.bps()), signalling);
-    auto dtv = std::make_unique<broadcast::BroadcastChannel>(
-        *simulation_, std::move(ts), rng.engine().next(),
-        config_.table_repetition);
-    if (config_.section_loss > 0.0) {
-      dtv->set_section_loss(config_.section_loss);
-    }
-    dtv->set_sharded(*sharded_);
-    channels_.push_back(std::move(dtv));
+    channels_.back()->set_sharded(*sharded_);
   }
 
   const net::LinkSpec server_link{config_.server_capacity,
@@ -368,13 +363,12 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     env.heartbeat_phase_seed =
         util::stream_seed(config_.seed, "heartbeat.pace.phase");
   }
+  env.draw_seed = util::stream_seed(config_.seed, "pna.draws");
   shards_ = std::vector<Shard>(K);
-  util::SplitMix64 loss_seeds(config_.seed ^ 0x10555EEDull);
   for (Shard& shard : shards_) {
     shard.env = env;
     shard.env.counters = &shard.counters;
     shard.env.acquire_latency = &shard.acquire_latency;
-    shard.loss_rng = util::Random(loss_seeds.next());
     // The ring must outlast the in-flight window or acquires find their
     // slot still referenced and fall back to allocation: heartbeats live
     // ~tens of milliseconds (delivery + aggregator handling), a few hundred
@@ -396,16 +390,12 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     // the uplink's committed backlog sheds at the set-top box.
     stb_link.uplink_queue = config_.return_channel.queue_limit;
   }
-  // One registry for the population: the agent's seed is found by receiver
-  // index (node ids are consecutive), its environment by shard.
-  xlets_.register_factory(
-      "oddci-pna", [this](dtv::Receiver& host) {
-        const std::size_t i = host.node_id() - receivers_.front()->node_id();
-        return std::make_unique<PnaXlet>(shards_[host.shard()].env,
-                                         pna_seeds_[i]);
-      });
+  // One registry for the population: an agent's environment is its
+  // shard's.
+  xlets_.register_factory("oddci-pna", [this](dtv::Receiver& host) {
+    return std::make_unique<PnaXlet>(shards_[host.shard()].env);
+  });
   receivers_.reserve(config_.receivers);
-  pna_seeds_.reserve(config_.receivers);
   const std::size_t A = config_.aggregators;
   for (std::size_t i = 0; i < config_.receivers; ++i) {
     // Placement follows the heartbeat routing: a receiver's pna id is the
@@ -419,10 +409,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
     auto receiver = std::make_unique<dtv::Receiver>(
         sharded_->shard(s), *network_, config_.profile, stb_link);
     receiver->set_power_mode(config_.initial_power);
-    pna_seeds_.push_back(rng.engine().next());
     receiver->application_manager().set_registry(&xlets_);
-    receiver->set_shard_context(sharded_.get(), static_cast<std::uint32_t>(s),
-                                &shards_[s].loss_rng);
+    receiver->set_shard(static_cast<std::uint32_t>(s));
     if (rng.uniform() < config_.tuned_fraction) {
       receiver->tune(*channels_[i % channels_.size()]);
     }
@@ -464,17 +452,15 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
 
   if (config_.churn) {
     // One churn process per shard, on that shard's kernel, over that
-    // shard's receivers: power cycles are ordinary intra-shard events. A
-    // lone shard uses the drawn seed as is, the stream every single-shard
-    // churn replay was pinned with; several split it, one stream each.
+    // shard's receivers: power cycles are ordinary intra-shard events. The
+    // draws are keyed by receiver, so every shard shares the one seed.
     const std::uint64_t churn_seed = rng.engine().next();
-    util::SplitMix64 churn_seeds(churn_seed);
     std::vector<std::vector<dtv::Receiver*>> per_shard(K);
     for (auto& r : receivers_) per_shard[r->shard()].push_back(r.get());
     for (std::size_t s = 0; s < K; ++s) {
       churn_procs_.push_back(std::make_unique<ChurnProcess>(
           sharded_->shard(s), std::move(per_shard[s]),
-          K == 1 ? churn_seed : churn_seeds.next(), *config_.churn));
+          churn_seed, *config_.churn));
       churn_procs_.back()->start();
     }
   }

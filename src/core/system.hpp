@@ -154,8 +154,8 @@ struct SystemConfig {
   /// shard on the calling thread; >1 runs the shards in parallel threads
   /// under a conservative time-window barrier. Deterministic for a fixed
   /// shard count, but a different count yields a different — equally
-  /// valid — trajectory. Requires kDtvCarousel when >1; at most
-  /// sim::ShardedSimulation::kMaxShards.
+  /// valid — trajectory (the keyed per-entity draws are the same at every
+  /// count). At most sim::ShardedSimulation::kMaxShards.
   std::size_t shards = 1;
   /// Conservative window width for shards > 1. Zero = auto: the minimum
   /// cross-shard delivery latency (receiver vs server propagation delay),
@@ -380,9 +380,6 @@ class OddciSystem {
     /// Flight-recorder ring (only with config_.obs.trace), id stream
     /// (s, K) so merged exports keep event ids disjoint.
     std::unique_ptr<obs::FlightRecorder> recorder;
-    /// Carousel section-loss stream of the shard's receivers under a
-    /// multi-shard kernel; a single-shard run draws from the channel's.
-    util::Random loss_rng{0};
   };
 
   void wire_observability();
@@ -423,11 +420,9 @@ class OddciSystem {
   /// before receivers_, whose agents hold pointers into them.
   std::unique_ptr<fault::ByzantineTable> byz_table_;
   PnaEnvironment::Byzantine byz_block_;
-  /// Population-wide Xlet registry (the PNA factory) and each agent's RNG
-  /// seed, by receiver index; declared before receivers_, which point at
-  /// the registry.
+  /// Population-wide Xlet registry (the PNA factory); declared before
+  /// receivers_, which point at it.
   dtv::XletRegistry xlets_;
-  std::vector<std::uint64_t> pna_seeds_;
   std::vector<std::unique_ptr<dtv::Receiver>> receivers_;
   /// One churn process per shard, each driving its shard's receivers on
   /// its shard's kernel; declared after receivers_, which they point at.

@@ -42,26 +42,9 @@ Receiver::~Receiver() {
   }
 }
 
-void Receiver::set_shard_context(sim::ShardedSimulation* sharded,
-                                 std::uint32_t shard,
-                                 util::Random* loss_rng) {
-  if (sharded != nullptr && sharded->shard_count() > 1 &&
-      loss_rng == nullptr) {
-    throw std::invalid_argument("Receiver: sharded context needs a loss rng");
-  }
-  sharded_ = sharded;
-  shard_ = shard;
-  loss_rng_ = loss_rng;
-}
-
 const broadcast::CarouselSnapshot* Receiver::current_carousel() const {
-  if (!powered() || channel_ == nullptr) return nullptr;
-  if (sharded_mode()) {
-    // Never dereference the live channel from a worker shard: act on the
-    // retained capsule (null until the first signalling delivery).
-    return capsule_ != nullptr ? &capsule_->snapshot : nullptr;
-  }
-  return &channel_->current();
+  // Power-off and untune drop the capsule.
+  return capsule_ != nullptr ? &capsule_->snapshot : nullptr;
 }
 
 void Receiver::set_power_mode(PowerMode mode) {
@@ -177,21 +160,12 @@ std::optional<std::pair<sim::SimTime, Receiver::CarouselRead>>
 Receiver::begin_carousel_read(const std::string& name, bool xlet_guarded) {
   const broadcast::CarouselSnapshot* on_air = current_carousel();
   if (on_air == nullptr) return std::nullopt;
-  // Sharded kernel: acquisition is computed entirely from the retained
-  // capsule — the live channel belongs to the control shard — and
-  // section-loss extra cycles draw from this shard's loss stream, keeping
-  // each shard's RNG consumption independent of the others.
-  std::optional<sim::SimTime> ready =
-      sharded_mode() ? on_air->read_completion_time(name, simulation_.now())
-                     : channel_->file_ready_at(name, simulation_.now());
+  // Acquisition is computed from the acquired capsule alone, with a draw
+  // keyed by this receiver's id and read ordinal: the same at every K.
+  const std::optional<sim::SimTime> ready = capsule_->ready_at(
+      name, simulation_.now(), capsule_->read_draw(listener_id(), ++reads_));
   if (!ready) return std::nullopt;
   const broadcast::CarouselFile* file = on_air->find(name);
-  if (sharded_mode() && capsule_->section_loss > 0.0) {
-    const double extra = broadcast::section_loss_extra_cycles(
-        *file, capsule_->section_loss, capsule_->section_size,
-        loss_rng_->uniform());
-    *ready += sim::SimTime::from_seconds(extra * on_air->cycle_seconds());
-  }
   CarouselRead read;
   read.content_id = file->content_id;
   read.name_hash = name_hash(name);
@@ -208,8 +182,8 @@ const broadcast::CarouselFile* Receiver::finish_carousel_read(
   // NOT abort the read as long as the module itself is unchanged (same
   // name/version/content): real DSM-CC receivers keep assembling a module
   // across unrelated carousel updates and only restart on a module-version
-  // bump. Under sharding the check runs against whatever signalling this
-  // receiver has acquired by now.
+  // bump. The check runs against whatever signalling this receiver has
+  // acquired by now.
   const broadcast::CarouselSnapshot* on_air = current_carousel();
   if (session_ != read.session || on_air == nullptr) return nullptr;
   for (const broadcast::CarouselFile& file : on_air->files) {
@@ -226,22 +200,14 @@ void Receiver::send(net::NodeId to, net::MessagePtr message) {
   network_.send(node_id_, to, std::move(message));
 }
 
-void Receiver::on_signalling(const broadcast::Ait& ait,
-                             const broadcast::CarouselSnapshot& snapshot) {
-  if (!powered()) return;
-  autostart_from_ait(ait);
-  // DESTROY/KILL codes are processed immediately.
-  apps_.process_ait(ait);
-  // Already-running trigger applications observe the fresh carousel.
-  apps_.notify_carousel(snapshot);
-}
-
 void Receiver::on_signalling_capsule(
     const std::shared_ptr<const broadcast::SignallingCapsule>& capsule) {
   if (!powered() || channel_ == nullptr) return;
   capsule_ = capsule;
   autostart_from_ait(capsule->ait);
+  // DESTROY/KILL codes are processed immediately.
   apps_.process_ait(capsule->ait);
+  // Already-running trigger applications observe the fresh carousel.
   apps_.notify_carousel(capsule->snapshot);
 }
 

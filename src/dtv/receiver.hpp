@@ -13,7 +13,6 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -57,12 +56,10 @@ class Receiver final : public broadcast::BroadcastListener,
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   // --- sharded kernel -------------------------------------------------------
-  /// Place this receiver on kernel shard `shard`; `loss_rng` is the shard's
-  /// section-loss stream (shared by the shard's receivers, drawn in event
-  /// order). The receiver's `simulation` reference must already be the
-  /// shard's kernel. With a single shard this is a no-op configuration.
-  void set_shard_context(sim::ShardedSimulation* sharded, std::uint32_t shard,
-                         util::Random* loss_rng);
+  /// Place this receiver on kernel shard `shard`, before it tunes: it
+  /// tunes its media there. The receiver's `simulation` reference must
+  /// already be that shard's kernel.
+  void set_shard(std::uint32_t shard) { shard_ = shard; }
 
   [[nodiscard]] std::uint32_t shard() const { return shard_; }
   /// This receiver's id on every medium it tunes, for life: its node id
@@ -71,8 +68,9 @@ class Receiver final : public broadcast::BroadcastListener,
     return static_cast<broadcast::ListenerId>(node_id_) + 1;
   }
 
-  /// The carousel view this receiver acts on: the live channel snapshot in
-  /// the classic kernel, the retained signalling capsule under sharding.
+  /// The carousel view this receiver acts on: the snapshot of the last
+  /// signalling capsule it acquired (null while powered off, untuned or
+  /// before the first acquisition).
   [[nodiscard]] const broadcast::CarouselSnapshot* current_carousel() const;
 
   // --- power --------------------------------------------------------------
@@ -123,8 +121,6 @@ class Receiver final : public broadcast::BroadcastListener,
   void send(net::NodeId to, net::MessagePtr message);
 
   // --- BroadcastListener ------------------------------------------------------
-  void on_signalling(const broadcast::Ait& ait,
-                     const broadcast::CarouselSnapshot& snapshot) override;
   void on_signalling_capsule(
       const std::shared_ptr<const broadcast::SignallingCapsule>& capsule)
       override;
@@ -153,10 +149,6 @@ class Receiver final : public broadcast::BroadcastListener,
 
   void autostart_from_ait(const broadcast::Ait& ait);
 
-  [[nodiscard]] bool sharded_mode() const {
-    return sharded_ != nullptr && sharded_->shard_count() > 1;
-  }
-
   sim::Simulation& simulation_;
   net::Network& network_;
   const DeviceProfile* profile_;
@@ -170,14 +162,14 @@ class Receiver final : public broadcast::BroadcastListener,
   std::vector<sim::EventId> running_;
   obs::FlightRecorder* recorder_ = nullptr;
 
-  sim::ShardedSimulation* sharded_ = nullptr;
-  util::Random* loss_rng_ = nullptr;
-  /// Latest signalling capsule (sharded kernel): the receiver's own frozen
-  /// view of what is on air, used for carousel reads and version checks.
+  /// Latest signalling capsule: the receiver's own frozen view of what is
+  /// on air, used for carousel reads and version checks.
   std::shared_ptr<const broadcast::SignallingCapsule> capsule_;
 
   net::NodeId node_id_ = net::kInvalidNode;
   std::uint32_t shard_ = 0;
+  /// Carousel reads begun so far: the ordinal that keys each read's draw.
+  std::uint32_t reads_ = 0;
   /// Bumped whenever in-flight async work must be invalidated (power off,
   /// channel change).
   std::uint32_t session_ = 0;

@@ -43,9 +43,10 @@ class XletContext {
   [[nodiscard]] Receiver& receiver() { return *receiver_; }
   [[nodiscard]] sim::Simulation& simulation();
 
-  /// What is currently on air on the tuned channel (nullptr when the
-  /// receiver is unpowered or untuned). Lets an Xlet inspect signalling
-  /// (names, versions, content ids) without paying a carousel read.
+  /// What the receiver has acquired from the tuned channel (nullptr when
+  /// it is unpowered, untuned or has acquired nothing yet). Lets an Xlet
+  /// inspect signalling (names, versions, content ids) without paying a
+  /// carousel read.
   [[nodiscard]] const broadcast::CarouselSnapshot* current_carousel() const;
 
   /// Receiver::read_carousel_file, but a completion arriving after the

@@ -89,13 +89,11 @@ FaultInjector::FaultInjector(sim::ShardedSimulation& sharded,
       plan_rng_(rng_.split()),
       wire_shards_(sharded.shard_count()) {
   options_.validate();
-  // One verdict stream per shard, so one shard's traffic never perturbs
-  // another's draws. A lone shard draws the wire stream itself, the stream
-  // every single-shard fault replay was pinned with; several split it.
+  // One verdict stream per shard, split from the wire stream at every K,
+  // so one shard's traffic never perturbs another's draws.
   util::Random wire_rng = rng_.split();
   for (std::size_t s = 0; s < wire_shards_.size(); ++s) {
-    wire_shards_[s].rng =
-        wire_shards_.size() == 1 ? wire_rng : wire_rng.split();
+    wire_shards_[s].rng = wire_rng.split();
     wire_shards_[s].sim = &sharded_.shard(s);
   }
 }

@@ -36,6 +36,25 @@ class SplitMix64 {
 [[nodiscard]] std::uint64_t stream_seed(std::uint64_t root,
                                         std::string_view name);
 
+/// A keyed draw: SplitMix64 over (seed, a, b), one field per step. Pure
+/// arithmetic, so an entity's draw is a function of its key alone — not of
+/// the order in which entities draw, nor of how the population is split
+/// across shards (the counter-based scheme of Salmon et al., "Parallel
+/// Random Numbers: As Easy as 1, 2, 3", SC 2011). Callers pack the entity
+/// and an ordinal into the fields.
+[[nodiscard]] constexpr std::uint64_t keyed_bits(std::uint64_t seed,
+                                                 std::uint64_t a,
+                                                 std::uint64_t b) {
+  return SplitMix64(SplitMix64(seed ^ a).next() ^ b).next();
+}
+
+/// keyed_bits() as a uniform double in [0, 1).
+[[nodiscard]] constexpr double keyed_uniform(std::uint64_t seed,
+                                             std::uint64_t a,
+                                             std::uint64_t b) {
+  return static_cast<double>(keyed_bits(seed, a, b) >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna — fast, high-quality, 2^256-1 period.
 class Xoshiro256 {
  public:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace oddci::broadcast {
@@ -12,9 +13,10 @@ constexpr auto kMbps = [](double m) { return util::BitRate::from_mbps(m); };
 class RecordingListener final : public BroadcastListener {
  public:
   explicit RecordingListener(sim::Simulation& sim) : sim_(&sim) {}
-  void on_signalling(const Ait& ait,
-                     const CarouselSnapshot& snapshot) override {
-    events.push_back({sim_->now(), ait.version(), snapshot.generation});
+  void on_signalling_capsule(
+      const std::shared_ptr<const SignallingCapsule>& capsule) override {
+    events.push_back(
+        {sim_->now(), capsule->ait.version(), capsule->snapshot.generation});
   }
   struct Event {
     sim::SimTime at;
@@ -121,10 +123,13 @@ TEST_F(ChannelTest, AitTravelsWithSignalling) {
 TEST_F(ChannelTest, FileReadyAtDelegatesToCarousel) {
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.commit();
-  const auto t = channel.file_ready_at("f", sim.now());
+  const auto& capsule = channel.on_air();
+  ASSERT_NE(capsule, nullptr);
+  const auto t = capsule->ready_at("f", sim.now(), capsule->read_draw(1, 1));
   ASSERT_TRUE(t.has_value());
   EXPECT_GE(t->seconds(), 1.0 - 1e-6);  // at least the read time at 1 Mbps
-  EXPECT_FALSE(channel.file_ready_at("missing", sim.now()));
+  EXPECT_EQ(t, channel.carousel().read_completion_time("f", sim.now()));
+  EXPECT_FALSE(capsule->ready_at("missing", sim.now(), 0.5));
 }
 
 TEST_F(ChannelTest, CommitCountTracks) {

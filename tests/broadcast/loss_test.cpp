@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+
 #include "broadcast/channel.hpp"
 #include "util/stats.hpp"
 
@@ -12,16 +16,24 @@ struct LossTest : ::testing::Test {
   sim::Simulation sim;
   BroadcastChannel channel{
       sim, TransportStream(kMbps(1.1), util::BitRate::from_kbps(100)), 77};
+  /// Read ordinals of one reader (listener 1), as a receiver keys them.
+  std::uint32_t reads = 0;
 
   void stage_image() {
     channel.carousel().put_file("image", util::Bits::from_megabytes(1), 1);
     channel.commit();
   }
+
+  /// The next read of `name` from the capsule on air, started now.
+  std::optional<sim::SimTime> read(const std::string& name) {
+    const auto& capsule = channel.on_air();
+    return capsule->ready_at(name, sim.now(), capsule->read_draw(1, ++reads));
+  }
 };
 
 TEST_F(LossTest, ZeroLossMatchesDeterministicModel) {
   stage_image();
-  const auto a = channel.file_ready_at("image", sim.now());
+  const auto a = read("image");
   const auto b = channel.carousel().read_completion_time("image", sim.now());
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, *b);
@@ -34,7 +46,7 @@ TEST_F(LossTest, LossOnlyAddsWholeCycles) {
   const auto base =
       channel.carousel().read_completion_time("image", sim.now());
   for (int i = 0; i < 200; ++i) {
-    const auto t = channel.file_ready_at("image", sim.now());
+    const auto t = read("image");
     ASSERT_TRUE(t.has_value());
     const double extra = (*t - *base).seconds();
     EXPECT_GE(extra, -1e-9);
@@ -45,13 +57,17 @@ TEST_F(LossTest, LossOnlyAddsWholeCycles) {
 }
 
 TEST_F(LossTest, HigherLossMeansLongerMeanAcquisition) {
-  stage_image();
   auto mean_extra = [&](double loss) {
+    // The loss model travels in the capsule: it takes effect at a commit.
     channel.set_section_loss(loss);
+    stage_image();
+    // Each commit draws a new rotation: measure past this one's clean read.
+    const auto base =
+        channel.carousel().read_completion_time("image", sim.now());
     util::RunningStats stats;
     for (int i = 0; i < 500; ++i) {
-      const auto t = channel.file_ready_at("image", sim.now());
-      stats.add(t->seconds());
+      const auto t = read("image");
+      stats.add((*t - *base).seconds());
     }
     return stats.mean();
   };
@@ -72,12 +88,8 @@ TEST_F(LossTest, SmallFilesSufferLessThanLargeOnes) {
         channel.carousel().read_completion_time("big", sim.now());
     const auto base_tiny =
         channel.carousel().read_completion_time("tiny", sim.now());
-    big_extra.add((*channel.file_ready_at("big", sim.now()) - *base_big)
-                      .seconds() /
-                  cycle);
-    tiny_extra.add((*channel.file_ready_at("tiny", sim.now()) - *base_tiny)
-                       .seconds() /
-                   cycle);
+    big_extra.add((*read("big") - *base_big).seconds() / cycle);
+    tiny_extra.add((*read("tiny") - *base_tiny).seconds() / cycle);
   }
   // A 1024-section file waits for its slowest section; a 1-section file
   // rarely needs a retry at all.

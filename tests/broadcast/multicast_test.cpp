@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace oddci::broadcast {
@@ -12,9 +16,10 @@ constexpr auto kMbps = [](double m) { return util::BitRate::from_mbps(m); };
 class Recorder final : public BroadcastListener {
  public:
   explicit Recorder(sim::Simulation& sim) : sim_(&sim) {}
-  void on_signalling(const Ait& ait,
-                     const CarouselSnapshot& snapshot) override {
-    events.push_back({sim_->now(), ait.version(), snapshot.generation});
+  void on_signalling_capsule(
+      const std::shared_ptr<const SignallingCapsule>& capsule) override {
+    events.push_back(
+        {sim_->now(), capsule->ait.version(), capsule->snapshot.generation});
   }
   struct Event {
     sim::SimTime at;
@@ -27,6 +32,15 @@ class Recorder final : public BroadcastListener {
   sim::Simulation* sim_;
 };
 
+/// The next read of `name` on `medium`'s capsule, started at `from`, with
+/// the draw a receiver keys off its id and read ordinal.
+std::optional<sim::SimTime> read(const BroadcastMedium& medium,
+                                 const std::string& name, sim::SimTime from,
+                                 std::uint32_t ordinal = 1) {
+  const auto& capsule = medium.on_air();
+  return capsule->ready_at(name, from, capsule->read_draw(1, ordinal));
+}
+
 struct MulticastTest : ::testing::Test {
   sim::Simulation sim;
   MulticastChannel channel{sim, kMbps(1.0), 7};
@@ -38,9 +52,10 @@ TEST_F(MulticastTest, AcquisitionHasNoPhaseWait) {
   // carousel phase.
   channel.put_file("image", util::Bits(1'000'000), 1);
   channel.commit();
+  std::uint32_t ordinal = 0;
   for (double at : {0.0, 0.37, 0.91}) {
-    const auto t = channel.file_ready_at(
-        "image", sim::SimTime::from_seconds(at));
+    const auto t =
+        read(channel, "image", sim::SimTime::from_seconds(at), ++ordinal);
     ASSERT_TRUE(t.has_value());
     const double latency = t->seconds() - at;
     EXPECT_NEAR(latency, 0.15 + 1.05, 0.05) << "listen at " << at;
@@ -52,7 +67,7 @@ TEST_F(MulticastTest, CapacitySplitsAcrossSessions) {
   channel.put_file("b", util::Bits(1'000'000), 2);
   channel.commit();
   // Two sessions at 0.5 Mbps each: ~2.1 s per file.
-  const auto t = channel.file_ready_at("a", sim.now());
+  const auto t = read(channel, "a", sim.now());
   EXPECT_NEAR(t->seconds(), 0.15 + 2.1, 0.1);
 }
 
@@ -63,7 +78,7 @@ TEST_F(MulticastTest, LossInflatesGracefully) {
   noisy.put_file("image", util::Bits(1'000'000), 1);
   noisy.commit();
   // 10% loss costs ~1/0.9 = 11% extra, NOT whole extra cycles.
-  const auto t = noisy.file_ready_at("image", sim.now());
+  const auto t = read(noisy, "image", sim.now());
   EXPECT_NEAR(t->seconds(), 0.15 + 1.05 / 0.9, 0.08);
 }
 
@@ -130,7 +145,8 @@ TEST_F(MulticastTest, Validation) {
   EXPECT_THROW(channel.put_file("f", util::Bits(0), 1),
                std::invalid_argument);
   EXPECT_THROW(channel.tune(1, nullptr, 0), std::invalid_argument);
-  EXPECT_FALSE(channel.file_ready_at("missing", sim.now()));
+  channel.commit();
+  EXPECT_FALSE(read(channel, "missing", sim.now()));
 }
 
 }  // namespace

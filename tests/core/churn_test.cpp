@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
+
+#include "obs/flight_recorder.hpp"
+#include "sim/sharded.hpp"
 
 namespace oddci::core {
 namespace {
@@ -124,6 +130,75 @@ TEST_F(ChurnTest, DeterministicUnderSeed) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));
+}
+
+/// Each receiver's power changes, (time, mode) in order, keyed by node id:
+/// `receivers` receivers, receiver i on shard i % K, each shard's churned
+/// by its own process under one seed, run for `horizon`.
+std::map<std::uint64_t, std::vector<std::pair<std::int64_t, std::uint64_t>>>
+power_cycles(std::size_t shards, std::size_t receivers,
+             sim::SimTime horizon) {
+  sim::ShardedSimulation kernel({shards, sim::SimTime::from_millis(5)});
+  net::Network net(kernel.control());
+  net.set_sharded(&kernel);
+  const net::LinkSpec link{util::BitRate::from_mbps(1),
+                           util::BitRate::from_mbps(1),
+                           sim::SimTime::from_millis(10)};
+  std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
+  std::vector<std::vector<dtv::Receiver*>> per_shard(shards);
+  std::vector<std::unique_ptr<dtv::Receiver>> population;
+  for (std::size_t s = 0; s < shards; ++s) {
+    rings.push_back(std::make_unique<obs::FlightRecorder>(1 << 16));
+  }
+  for (std::size_t i = 0; i < receivers; ++i) {
+    const auto s = static_cast<std::uint32_t>(i % shards);
+    net.set_register_shard(s);
+    population.push_back(std::make_unique<dtv::Receiver>(
+        kernel.shard(s), net, dtv::DeviceProfile::reference_stb(), link));
+    population.back()->set_shard(s);
+    population.back()->set_recorder(rings[s].get());
+    per_shard[s].push_back(population.back().get());
+  }
+  net.set_register_shard(0);
+  ChurnOptions options;
+  options.mean_on_seconds = 60;
+  options.mean_off_seconds = 30;
+  std::vector<std::unique_ptr<ChurnProcess>> churn;
+  for (std::size_t s = 0; s < shards; ++s) {
+    churn.push_back(std::make_unique<ChurnProcess>(
+        kernel.shard(s), std::move(per_shard[s]), 11, options));
+    churn.back()->start();
+  }
+  kernel.run_until(horizon);
+  std::map<std::uint64_t, std::vector<std::pair<std::int64_t, std::uint64_t>>>
+      cycles;
+  for (const auto& ring : rings) {
+    EXPECT_EQ(ring->overwritten(), 0u);
+    for (const obs::TraceEvent& e : ring->events()) {
+      if (e.kind == obs::TraceEventKind::kPowerChange) {
+        cycles[e.actor].emplace_back(e.t_micros, e.arg);
+      }
+    }
+  }
+  for (auto& c : churn) c->stop();
+  return cycles;
+}
+
+TEST(ChurnSharding, PowerCycleInstantsDoNotDependOnTheShardCount) {
+  // Every churn draw is keyed by (seed, receiver, toggle ordinal), so a
+  // receiver switches at the same instants whichever shard's process
+  // drives it.
+  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "needs the flight recorder";
+  constexpr std::size_t kReceivers = 200;
+  const sim::SimTime horizon = sim::SimTime::from_minutes(10);
+  const auto one = power_cycles(1, kReceivers, horizon);
+  ASSERT_EQ(one.size(), kReceivers);
+  std::size_t changes = 0;
+  for (const auto& [id, c] : one) changes += c.size();
+  // ~10 min / 45 s mean dwell: about a dozen changes per receiver.
+  EXPECT_GT(changes, 10 * kReceivers);
+  EXPECT_EQ(power_cycles(2, kReceivers, horizon), one);
+  EXPECT_EQ(power_cycles(4, kReceivers, horizon), one);
 }
 
 }  // namespace

@@ -140,8 +140,9 @@ class PnaLiveness
     env.verify_cache = &verify_cache;
     env.heartbeat_pool = &heartbeat_pool;
     env.task_poll_interval = sim::SimTime::from_seconds(20);
+    env.draw_seed = 77;
     registry.register_factory("oddci-pna", [this](dtv::Receiver&) {
-      return std::make_unique<PnaXlet>(env, /*seed=*/77);
+      return std::make_unique<PnaXlet>(env);
     });
     receiver = std::make_unique<dtv::Receiver>(
         sim, net, dtv::DeviceProfile::reference_stb(),

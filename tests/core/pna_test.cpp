@@ -118,6 +118,7 @@ struct PnaTest : ::testing::Test {
     env.heartbeat_pool = &heartbeat_pool;
     env.trusted_key = kKey;
     env.task_poll_interval = sim::SimTime::from_seconds(5);
+    env.draw_seed = 77;
 
     receiver = std::make_unique<dtv::Receiver>(
         sim, net, dtv::DeviceProfile::reference_stb(),
@@ -125,7 +126,7 @@ struct PnaTest : ::testing::Test {
                       util::BitRate::from_kbps(150),
                       sim::SimTime::from_millis(10)});
     registry.register_factory("oddci-pna", [this](dtv::Receiver&) {
-      return std::make_unique<PnaXlet>(env, /*seed=*/77);
+      return std::make_unique<PnaXlet>(env);
     });
     receiver->application_manager().set_registry(&registry);
     receiver->tune(channel);
@@ -335,25 +336,69 @@ TEST_F(PnaTest, PowerOffDestroysXlet) {
 TEST_F(PnaTest, NullContentStoreRejected) {
   PnaEnvironment bad;
   bad.content_store = nullptr;
-  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
 }
 
 TEST_F(PnaTest, EnvironmentWithoutCountersRejected) {
   PnaEnvironment bad = env;
   bad.counters = nullptr;
-  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
   bad = env;
   bad.acquire_latency = nullptr;
-  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
 }
 
 TEST_F(PnaTest, EnvironmentWithoutVerifyCacheOrPoolRejected) {
   PnaEnvironment bad = env;
   bad.verify_cache = nullptr;
-  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
   bad = env;
   bad.heartbeat_pool = nullptr;
-  EXPECT_THROW(PnaXlet(bad, 1), std::invalid_argument);
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
+}
+
+TEST_F(PnaTest, RelaunchedAgentDrawsAFreshHeartbeatPhase) {
+  // A power cycle destroys the Xlet and the factory builds a new one. Its
+  // draws carry the host generation, which the power-off moved: the
+  // relaunched agent must not replay its previous life's draws, starting
+  // with the first-heartbeat phase (control receipt -> first beat).
+  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "needs the flight recorder";
+  obs::FlightRecorder recorder;
+  env.recorder = &recorder;
+  ControlMessage hello;
+  hello.type = ControlType::kReset;
+  hello.instance = kNoInstance;
+  stage_control(hello);
+  const sim::SimTime cycle_at = sim::SimTime::from_seconds(60);
+  sim.run_until(cycle_at);
+  ASSERT_NE(pna(), nullptr);
+  receiver->set_power_mode(dtv::PowerMode::kOff);
+  receiver->set_power_mode(dtv::PowerMode::kStandby);
+  sim.run_until(sim::SimTime::from_seconds(120));
+  ASSERT_NE(pna(), nullptr);
+
+  // Per life: the first control receipt and the first beat after it.
+  struct Life {
+    std::int64_t control_us = -1;
+    std::int64_t beat_us = -1;
+  };
+  Life lives[2];
+  for (const obs::TraceEvent& e : recorder.events()) {
+    Life& life = lives[e.t_micros < cycle_at.micros() ? 0 : 1];
+    if (e.kind == obs::TraceEventKind::kControlReceived &&
+        life.control_us < 0) {
+      life.control_us = e.t_micros;
+    } else if (e.kind == obs::TraceEventKind::kHeartbeatSent &&
+               life.control_us >= 0 && life.beat_us < 0) {
+      life.beat_us = e.t_micros;
+    }
+  }
+  for (const Life& life : lives) {
+    ASSERT_GE(life.control_us, 0);
+    ASSERT_GE(life.beat_us, 0);
+  }
+  EXPECT_NE(lives[0].beat_us - lives[0].control_us,
+            lives[1].beat_us - lives[1].control_us);
 }
 
 }  // namespace

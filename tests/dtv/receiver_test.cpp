@@ -48,6 +48,16 @@ struct ReceiverTest : ::testing::Test {
                      sim::SimTime::from_millis(10)};
   std::unique_ptr<Receiver> receiver = std::make_unique<Receiver>(
       sim, net, DeviceProfile::stb_st7109(), link);
+
+  /// Commit the staged carousel and run until the receiver has acquired
+  /// the capsule: one table repetition. It reads only what it acquired.
+  void commit_and_acquire() {
+    channel.commit();
+    sim.run_until(sim.now() + sim::SimTime::from_millis(500));
+    ASSERT_NE(receiver->current_carousel(), nullptr);
+    ASSERT_EQ(receiver->current_carousel()->generation,
+              channel.current().generation);
+  }
 };
 
 TEST_F(ReceiverTest, StartsInStandbyAndRegistered) {
@@ -154,7 +164,7 @@ TEST_F(ReceiverTest, CarouselReadFailsWhenUntunedOrMissing) {
 TEST_F(ReceiverTest, CarouselReadCompletesAfterAcquisition) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
-  channel.commit();
+  commit_and_acquire();
   bool ok_read = false;
   sim::SimTime done_at;
   receiver->read_carousel_file(
@@ -173,7 +183,7 @@ TEST_F(ReceiverTest, CarouselReadCompletesAfterAcquisition) {
 TEST_F(ReceiverTest, CarouselReadInvalidatedByPowerOff) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
-  channel.commit();
+  commit_and_acquire();
   bool ok_read = true;
   bool called = false;
   receiver->read_carousel_file(
@@ -191,7 +201,7 @@ TEST_F(ReceiverTest, CarouselReadSurvivesUnrelatedCommit) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.carousel().put_file("other", util::Bits(1'000'000), 2);
-  channel.commit();
+  commit_and_acquire();
   bool ok_read = false;
   receiver->read_carousel_file(
       "f",
@@ -206,7 +216,7 @@ TEST_F(ReceiverTest, CarouselReadSurvivesUnrelatedCommit) {
 TEST_F(ReceiverTest, CarouselReadInvalidatedByModuleUpdate) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
-  channel.commit();
+  commit_and_acquire();
   bool ok_read = true;
   receiver->read_carousel_file(
       "f",

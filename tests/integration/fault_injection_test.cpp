@@ -26,8 +26,11 @@ TEST(FaultInjection, JobCompletesUnderChurn) {
   config.control.overshoot_margin = 1.3;
 
   OddciSystem system(config);
+  // 30-s tasks keep the instance busy for ~250 s, long enough against the
+  // 1200-s mean on-time that churn reaches its members at every seed; with
+  // 10-s tasks (~70 s busy) about 6% of seeds saw no member power off.
   const auto result =
-      system.run_job(job_of(300, 10.0), 50, sim::SimTime::from_hours(12));
+      system.run_job(job_of(300, 30.0), 50, sim::SimTime::from_hours(12));
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.job.results_received, 300u);
   // Churn forces re-dispatch and/or recomposition at some point.

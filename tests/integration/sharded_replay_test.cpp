@@ -168,6 +168,36 @@ TEST(ShardedReplay, ChurningPopulationOnTwoShardsIsByteIdentical) {
   EXPECT_TRUE(first.completed);
 }
 
+// IPTV multicast on four shards: each commit freezes a capsule with the
+// sessions' acquisition times, and each shard's receivers read from it
+// with keyed draws. The iptv_aggregated scenario's shape completes and
+// replays byte for byte.
+TEST(ShardedReplay, IptvAggregatedOnFourShardsIsByteIdentical) {
+  auto build = [] {
+    SystemConfig config = scenario(4);
+    config.technology = BroadcastTechnology::kIpMulticast;
+    config.channels = 2;
+    config.receivers = 1'200;
+    config.aggregators = 4;
+    return config;
+  };
+  const auto run = [](const SystemConfig& config) {
+    OddciSystem system(config);
+    const auto job = workload::make_uniform_job(
+        "iptv", util::Bits::from_megabytes(10), 3'000,
+        util::Bits::from_bytes(512), util::Bits::from_bytes(512), 20.0);
+    const auto result = system.run_job(job, 300);
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(result.job.results_received - result.job.duplicate_results -
+                  result.job.late_results,
+              3'000u);
+    EXPECT_GT(system.kernel().cross_posts(), 0u);
+    return obs::to_json(result.metrics);
+  };
+  const std::string first = run(build());
+  EXPECT_EQ(run(build()), first);
+}
+
 // Receivers home on the shard of the aggregator they heartbeat to,
 // aggregators[node id % A], also when a relay tier registers ahead of
 // them and shifts every receiver's node id by the relay count. These

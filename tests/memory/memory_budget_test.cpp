@@ -133,15 +133,15 @@ void operator delete[](void* p, std::align_val_t,
 namespace oddci::core {
 namespace {
 
-static_assert(sizeof(dtv::Receiver) <= 256,
+static_assert(sizeof(dtv::Receiver) <= 200,
               "dtv::Receiver is per-receiver hot state: keep it small");
-static_assert(sizeof(PnaXlet) <= 256,
+static_assert(sizeof(PnaXlet) <= 160,
               "PnaXlet is per-receiver hot state: keep it small");
 
 constexpr std::size_t kReceivers = 10'000;
-/// Live heap bytes each idle receiver may add: 748 B measured, plus 5%
+/// Live heap bytes each idle receiver may add: 700 B measured, plus 5%
 /// (see DESIGN.md §5 for the breakdown).
-constexpr double kLiveBytesBudget = 785.0;
+constexpr double kLiveBytesBudget = 735.0;
 
 /// Heap a deployed, warmed-up population holds (and its high-water mark on
 /// the way there). The allocation count excludes the kernels' slab chunks,
