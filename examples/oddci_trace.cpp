@@ -22,7 +22,8 @@
 //   oddci_trace profile <run.profile.json> [trace.json]
 //       Bottleneck report from an oddci.profile.v1 kernel profile: phase
 //       wall shares, slowest shard, barrier-stall fraction, window
-//       utilization and mailbox depth; an optional flight-recorder trace
+//       utilization, mailbox depth and each shard's event and timer slab
+//       chunks (high-water marks); an optional flight-recorder trace
 //       is merged in as a per-component event overlay.
 
 #include <algorithm>
@@ -361,7 +362,8 @@ int cmd_profile(const std::string& path, const char* trace_path) {
 
   if (!p.per_shard.empty()) {
     Table shard_table({"shard", "execute (s)", "calls", "barrier (s)",
-                       "executed", "pending"});
+                       "executed", "pending", "event chunks",
+                       "timer chunks"});
     std::size_t slowest = 0;
     for (std::size_t s = 0; s < p.per_shard.size(); ++s) {
       const auto& sh = p.per_shard[s];
@@ -373,7 +375,9 @@ int cmd_profile(const std::string& path, const char* trace_path) {
            Table::fmt_int(static_cast<long long>(sh.execute_calls)),
            Table::fmt(sh.barrier_seconds, 3),
            Table::fmt_int(static_cast<long long>(sh.events_executed)),
-           Table::fmt_int(static_cast<long long>(sh.events_pending))});
+           Table::fmt_int(static_cast<long long>(sh.events_pending)),
+           Table::fmt_int(static_cast<long long>(sh.event_chunks)),
+           Table::fmt_int(static_cast<long long>(sh.timer_chunks))});
     }
     std::cout << "\n";
     shard_table.print(std::cout);

@@ -23,6 +23,12 @@ std::uint64_t listener_key(ListenerId id, std::uint32_t ordinal) {
   return std::uint64_t{id} << 32 | ordinal;
 }
 
+/// Heap order for the reads: the earliest (at, id, ordinal) on top.
+bool later(const ModuleRead& a, const ModuleRead& b) { return b < a; }
+
+/// Read capacity a drained shard keeps for the reads between storms.
+constexpr std::size_t kKeptReads = 256;
+
 /// Extra full carousel cycles needed to capture every section of `file`
 /// under i.i.d. per-section loss `p` in (0, 1), inverted from one uniform
 /// sample `u`. Each section needs Geometric(1-p) passes and the file
@@ -42,6 +48,10 @@ double section_loss_extra_cycles(const CarouselFile& file, double p,
 }
 
 }  // namespace
+
+std::uint64_t module_key(const std::string& name) {
+  return util::stream_seed(0, name);
+}
 
 std::optional<sim::SimTime> SignallingCapsule::ready_at(
     const std::string& name, sim::SimTime from, double u) const {
@@ -215,6 +225,62 @@ void Audience::deliver_due(std::uint32_t shard) {
   }
 }
 
+void Audience::read(std::uint32_t shard, ModuleRead read) {
+  Block& b = block(shard);
+  const auto it = seat(b.table, read.id);
+  if (it == b.table.end() || it->id != read.id || it->listener == nullptr) {
+    throw std::logic_error("Audience: a read needs a tuned listener");
+  }
+  read.epoch = it->epoch;
+  const bool head = b.reads.empty() || read < b.reads.front();
+  b.reads.push_back(read);
+  std::push_heap(b.reads.begin(), b.reads.end(), later);
+  if (head) arm_reads(shard);
+}
+
+void Audience::arm_reads(std::uint32_t shard) {
+  Block& b = blocks_[shard];
+  if (b.read_event != sim::kInvalidEvent) {
+    b.kernel->cancel(b.read_event);
+    b.read_event = sim::kInvalidEvent;
+  }
+  if (b.reads.empty()) return;
+  const sim::SimTime at = std::max(b.reads.front().at, b.kernel->now());
+  b.read_event = b.kernel->schedule_at(
+      at, [this, shard] { complete_reads(shard); },
+      sim::EventPriority::kDefault);
+}
+
+void Audience::complete_reads(std::uint32_t shard) {
+  Block& b = blocks_[shard];
+  b.read_event = sim::kInvalidEvent;
+  const sim::SimTime now = b.kernel->now();
+  // A reader may queue another read, tune or untune from inside its
+  // completion, so the heap and the table are re-read after every call.
+  while (!b.reads.empty() && b.reads.front().at <= now) {
+    std::pop_heap(b.reads.begin(), b.reads.end(), later);
+    const ModuleRead r = b.reads.back();
+    b.reads.pop_back();
+    const auto it = seat(b.table, r.id);
+    // Untuned (power-off, channel change), or re-tuned since.
+    if (it == b.table.end() || it->id != r.id || it->listener == nullptr ||
+        it->epoch != r.epoch) {
+      continue;
+    }
+    it->listener->on_read_done(r);
+  }
+  if (b.reads.empty()) {
+    // Drained: hand a storm's capacity back.
+    if (b.reads.capacity() > kKeptReads) {
+      std::vector<ModuleRead> kept;
+      kept.reserve(kKeptReads);
+      b.reads.swap(kept);
+    }
+  } else if (b.read_event == sim::kInvalidEvent) {
+    arm_reads(shard);
+  }
+}
+
 std::size_t Audience::tuned_count() const {
   std::size_t n = 0;
   for (const Block& b : blocks_) n += b.tuned;
@@ -224,6 +290,12 @@ std::size_t Audience::tuned_count() const {
 std::uint64_t Audience::announcements() const {
   std::uint64_t n = 0;
   for (const Block& b : blocks_) n += b.announcements.value();
+  return n;
+}
+
+std::size_t Audience::reads_pending() const {
+  std::size_t n = 0;
+  for (const Block& b : blocks_) n += b.reads.size();
   return n;
 }
 

@@ -13,19 +13,22 @@
 #include "sim/simulation.hpp"
 #include "util/quantity.hpp"
 
-/// The commit fan-out every broadcast medium shares.
+/// The commit fan-out and the module reads every broadcast medium shares.
 ///
 /// A broadcast is one transmission: each tuned receiver picks a new
 /// generation up after its own table-repetition phase (§3.2, §4 of the
-/// paper). The audience keeps, for each kernel shard, a dense table of
-/// that shard's tuned listeners and one queue of `(time, listener, tune
-/// epoch)` announcements served by a single kernel event. A listener's
-/// phase is a pure function of (medium seed, generation, listener id, tune
-/// ordinal), so every shard draws its own listeners' phases: a commit
-/// costs the control shard one mail item per other shard, and a listener
-/// hears it at the same instant at every shard count (with several shards,
-/// an instant inside the commit's own window moves to that window's
-/// boundary, where the commit's mail arrives).
+/// paper), then reads the modules it needs off the carousel. The audience
+/// keeps, for each kernel shard, a dense table of that shard's tuned
+/// listeners, one queue of `(time, listener, tune epoch)` announcements and
+/// one queue of module reads, each served by a single kernel event. A
+/// listener's phase is a pure function of (medium seed, generation,
+/// listener id, tune ordinal), so every shard draws its own listeners'
+/// phases: a commit costs the control shard one mail item per other shard,
+/// and a listener hears it at the same instant at every shard count (with
+/// several shards, an instant inside the commit's own window moves to that
+/// window's boundary, where the commit's mail arrives). A read's instant is
+/// keyed the same way (SignallingCapsule::ready_at), and reads due at one
+/// instant complete in (listener id, read ordinal) order at every K.
 namespace oddci::broadcast {
 
 /// A listener's id on a medium: nonzero, unique per medium, and stable for
@@ -62,6 +65,37 @@ struct SignallingCapsule {
   [[nodiscard]] double read_draw(ListenerId id, std::uint32_t ordinal) const;
 };
 
+/// A module's key in a ModuleRead: a hash of its name.
+[[nodiscard]] std::uint64_t module_key(const std::string& name);
+
+/// One module read in flight (40 B), queued on its reader's shard until
+/// `at`. The audience orders reads by (at, id, ordinal) and drops one whose
+/// reader has untuned or re-tuned since (tune epoch); the module's identity
+/// and the reader's own fields ride along for the reader to act on.
+struct ModuleRead {
+  sim::SimTime at;
+  ListenerId id = 0;
+  /// The reader's read ordinal: it keys the read's draw and breaks ties.
+  std::uint32_t ordinal = 0;
+  /// The reader's tune epoch, stamped when the read is queued.
+  std::uint32_t epoch = 0;
+  /// The module being assembled: its version and module_key(name).
+  std::uint32_t version = 0;
+  std::uint64_t module = 0;
+  /// The reader's: a liveness generation, who asked, and their token.
+  std::uint32_t generation = 0;
+  std::uint8_t client = 0;
+  std::uint16_t token = 0;
+
+  /// Completion order: (at, id, ordinal).
+  bool operator<(const ModuleRead& o) const {
+    if (at != o.at) return at < o.at;
+    if (id != o.id) return id < o.id;
+    return ordinal < o.ordinal;
+  }
+};
+static_assert(sizeof(ModuleRead) == 40);
+
 class BroadcastListener {
  public:
   virtual ~BroadcastListener() = default;
@@ -70,6 +104,9 @@ class BroadcastListener {
   /// the capsule the medium froze at its commit.
   virtual void on_signalling_capsule(
       const std::shared_ptr<const SignallingCapsule>& capsule) = 0;
+  /// A read this listener queued (Audience::read) is due, and the listener
+  /// has stayed tuned since. Listeners that never read ignore it.
+  virtual void on_read_done(const ModuleRead& /*read*/) {}
 };
 
 class Audience {
@@ -101,6 +138,12 @@ class Audience {
   /// at once and every other shard gets one mail item carrying it.
   void commit(std::shared_ptr<const SignallingCapsule> capsule);
 
+  /// Queue `read` on `shard`, from that shard's thread: listener `read.id`,
+  /// tuned there, gets it back through on_read_done at `read.at` unless it
+  /// untunes or re-tunes first. Stamps the tune epoch; allocates only to
+  /// grow the shard's queue. Throws if the listener is not tuned there.
+  void read(std::uint32_t shard, ModuleRead read);
+
   /// The delay after a commit of `generation` (or after the on-air tune)
   /// at which listener `id` on its `ordinal`-th tune hears it: in
   /// [0, repetition).
@@ -111,6 +154,8 @@ class Audience {
   [[nodiscard]] std::size_t tuned_count() const;
   /// One per tuned listener per commit, plus one per on-air tune.
   [[nodiscard]] std::uint64_t announcements() const;
+  /// Reads queued and not yet due.
+  [[nodiscard]] std::size_t reads_pending() const;
 
  private:
   /// A table entry; an untuned listener keeps its entry (and epoch) with a
@@ -147,6 +192,11 @@ class Audience {
     sim::EventId pending = sim::kInvalidEvent;
     /// The capsule on air at this shard (null: none yet).
     std::shared_ptr<const SignallingCapsule> capsule;
+    /// Reads in flight: a min-heap on (at, id, ordinal), released once
+    /// drained after a storm.
+    std::vector<ModuleRead> reads;
+    /// The kernel event armed for the reads' head.
+    sim::EventId read_event = sim::kInvalidEvent;
     std::size_t tuned = 0;
     obs::Counter announcements;
   };
@@ -161,6 +211,11 @@ class Audience {
   void arm(std::uint32_t shard);
   /// The event: deliver every announcement due now, in queue order.
   void deliver_due(std::uint32_t shard);
+  /// (Re-)arm `shard`'s read event at its heap head.
+  void arm_reads(std::uint32_t shard);
+  /// The read event: complete every read due now, in (at, id, ordinal)
+  /// order.
+  void complete_reads(std::uint32_t shard);
 
   sim::ShardedSimulation* sharded_ = nullptr;
   std::uint64_t seed_;

@@ -63,9 +63,18 @@ class BroadcastMedium {
   void untune(ListenerId id, std::uint32_t shard) {
     audience_.untune(id, shard);
   }
+  /// Queue a module read for tuned listener `read.id` on `shard`, from
+  /// that shard's thread; see Audience::read.
+  void read(std::uint32_t shard, const ModuleRead& read) {
+    audience_.read(shard, read);
+  }
   /// Read between windows.
   [[nodiscard]] std::size_t tuned_count() const {
     return audience_.tuned_count();
+  }
+  /// Module reads queued and not yet due; read between windows.
+  [[nodiscard]] std::size_t reads_pending() const {
+    return audience_.reads_pending();
   }
   /// Per-listener announcements so far (one per tuned listener per commit,
   /// plus one per tune while on air); read between windows.

@@ -165,9 +165,9 @@ ChurnProcess::ChurnProcess(sim::Simulation& simulation,
                            std::uint64_t seed, ChurnOptions options)
     : simulation_(simulation),
       receivers_(std::move(receivers)),
+      dwells_(receivers_.size(), sim::kInvalidTimer),
       seed_(seed),
-      options_(options),
-      active_(std::make_shared<bool>(false)) {
+      options_(options) {
   options_.validate();
 }
 
@@ -187,7 +187,6 @@ dtv::PowerMode ChurnProcess::on_mode(std::uint32_t index,
 }
 
 void ChurnProcess::start() {
-  *active_ = true;
   const double on_fraction = options_.initial_on_fraction >= 0.0
                                  ? options_.initial_on_fraction
                                  : options_.steady_state_on_fraction();
@@ -199,24 +198,25 @@ void ChurnProcess::start() {
   }
 }
 
-void ChurnProcess::stop() { *active_ = false; }
+void ChurnProcess::stop() {
+  for (sim::TimerId& dwell : dwells_) {
+    if (dwell != sim::kInvalidTimer) simulation_.cancel_timer(dwell);
+    dwell = sim::kInvalidTimer;
+  }
+}
 
 void ChurnProcess::schedule_toggle(std::uint32_t index,
                                    std::uint32_t ordinal) {
   const double mean = receivers_[index]->powered() ? options_.mean_on_seconds
                                                    : options_.mean_off_seconds;
   const double dwell = -mean * std::log(1.0 - draw(index, ordinal, kDwell));
-  std::weak_ptr<bool> active = active_;
   // Dwell expiries ride the timer wheel: a million independent arrival
-  // processes cost O(1) each instead of O(log n) heap churn.
-  simulation_.schedule_timer_in(sim::SimTime::from_seconds(dwell),
-                                [this, index, ordinal, active] {
-                                  auto guard = active.lock();
-                                  if (!guard || !*guard) return;
-                                  toggle(index, ordinal + 1);
-                                },
-                                sim::SimTime::zero(),
-                                sim::EventPriority::kDefault);
+  // processes cost O(1) each instead of O(log n) heap churn. The 16-B
+  // capture stays inline in the timer.
+  dwells_[index] = simulation_.schedule_timer_in(
+      sim::SimTime::from_seconds(dwell),
+      [this, index, ordinal] { toggle(index, ordinal + 1); },
+      sim::SimTime::zero(), sim::EventPriority::kDefault);
 }
 
 void ChurnProcess::toggle(std::uint32_t index, std::uint32_t ordinal) {

@@ -102,6 +102,7 @@ class ChurnProcess {
   ChurnProcess& operator=(const ChurnProcess&) = delete;
 
   void start();
+  /// Cancel every armed dwell; the kernel must still be alive.
   void stop();
 
   struct Stats {
@@ -123,9 +124,10 @@ class ChurnProcess {
 
   sim::Simulation& simulation_;
   std::vector<dtv::Receiver*> receivers_;
+  /// Each receiver's armed dwell (kInvalidTimer: none), cancelled by stop().
+  std::vector<sim::TimerId> dwells_;
   std::uint64_t seed_;
   ChurnOptions options_;
-  std::shared_ptr<bool> active_;
   Stats stats_;
 };
 

@@ -138,15 +138,12 @@ void PnaXlet::on_carousel_update(const broadcast::CarouselSnapshot&) {
 
 void PnaXlet::acquire_config() {
   if (hung_) return;
-  // Module-version dedupe (DSM-CC semantics): the launch signalling
-  // triggers two acquisition attempts for the same configuration
-  // generation — once from startXlet and once from the carousel-update
-  // notification. Real receivers keep assembling the module they are
-  // already reading and only restart on a module-version bump, so a
-  // generation we have handled — or are currently reading — is not read
-  // again. Skipping at issue time (not completion) matters at scale: a
-  // million agents launching at once would otherwise each hold two
-  // in-flight carousel reads for the length of a cycle.
+  // Module-version dedupe (DSM-CC semantics): a configuration generation
+  // this agent has handled, or is reading, is not read again. Real
+  // receivers keep assembling the module they are already reading and only
+  // restart on a module-version bump; here a commit that leaves the
+  // configuration as it was (a bare recommit) would otherwise cost every
+  // agent of the population one more read.
   if (const broadcast::CarouselSnapshot* on_air =
           context_->current_carousel()) {
     if (const broadcast::CarouselFile* announced =
@@ -158,29 +155,37 @@ void PnaXlet::acquire_config() {
       pending_read_content_ = announced->content_id;
     }
   }
-  context_->read_carousel_file(
-      env_->config_file,
-      [this](bool ok, const broadcast::CarouselFile& file) {
-        if (!started_) return;
-        if (!ok) {
-          // Allow a retry of this generation (power/tune interrupted it).
-          pending_read_content_ = 0;
-          return;
-        }
-        // Completion-side belt-and-braces for readers that raced a
-        // generation change between issue and delivery.
-        if (file.content_id == last_handled_content_) return;
-        last_handled_content_ = file.content_id;
-        // The population shares one immutable decoded message (canonical
-        // bytes + digest computed once per broadcast), and the signature
-        // check is memoized across the shard's agents.
-        const PreparedControlPtr control =
-            env_->content_store->get_control_shared(file.content_id);
-        if (!control) return;
-        handle_control(control->message,
-                       control->verify_with(env_->trusted_key,
-                                            *env_->verify_cache));
-      });
+  context_->read_carousel_file(env_->config_file, *this, kConfigRead);
+}
+
+void PnaXlet::on_carousel_read(std::uint16_t token, bool ok,
+                               const broadcast::CarouselFile& file) {
+  if (token == kConfigRead) {
+    on_config_read(ok, file);
+  } else {
+    on_image_read(token, ok, file);
+  }
+}
+
+void PnaXlet::on_config_read(bool ok, const broadcast::CarouselFile& file) {
+  if (!started_) return;
+  if (!ok) {
+    // Allow a retry of this generation (its module changed meanwhile).
+    pending_read_content_ = 0;
+    return;
+  }
+  // Completion-side belt-and-braces for readers that raced a generation
+  // change between issue and delivery.
+  if (file.content_id == last_handled_content_) return;
+  last_handled_content_ = file.content_id;
+  // The population shares one immutable decoded message (canonical bytes
+  // + digest computed once per broadcast), and the signature check is
+  // memoized across the shard's agents.
+  const PreparedControlPtr control =
+      env_->content_store->get_control_shared(file.content_id);
+  if (!control) return;
+  handle_control(control->message,
+                 control->verify_with(env_->trusted_key, *env_->verify_cache));
 }
 
 void PnaXlet::handle_control(const ControlMessage& message, bool authentic) {
@@ -262,18 +267,18 @@ void PnaXlet::join_instance(const ControlMessage& message) {
 
   // Load the user application image from the carousel — the dominant cost
   // of the wakeup process (W = 1.5 I / beta on average).
-  context_->read_carousel_file(
-      message.image.name,
-      [this, instance = message.instance](
-          bool ok, const broadcast::CarouselFile& file) {
-        on_image_read(ok, file, instance);
-      });
+  context_->read_carousel_file(message.image.name, *this,
+                               image_read(message.instance));
 }
 
-void PnaXlet::on_image_read(bool ok, const broadcast::CarouselFile& file,
-                            InstanceId instance) {
+void PnaXlet::on_image_read(std::uint16_t token, bool ok,
+                            const broadcast::CarouselFile& file) {
   if (!started_) return;
-  if (!joining_ || pending_join_ != instance) return;  // reset
+  // Reset since, or issued for another instance's join. A read issued
+  // before a reset out of the instance now joined again still serves: the
+  // module is the same.
+  if (!joining_ || token != image_read(pending_join_)) return;
+  const InstanceId instance = pending_join_;
   joining_ = false;
   if (!ok) {
     // The module went off air (instance destroyed mid-join) or was

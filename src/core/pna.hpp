@@ -123,6 +123,8 @@ class PnaXlet final : public dtv::Xlet,
   // --- dtv::CarouselAware ---------------------------------------------------
   void on_carousel_update(
       const broadcast::CarouselSnapshot& snapshot) override;
+  void on_carousel_read(std::uint16_t token, bool ok,
+                        const broadcast::CarouselFile& file) override;
 
   // --- dtv::MessageHandler --------------------------------------------------
   void on_direct_message(net::NodeId from,
@@ -158,15 +160,23 @@ class PnaXlet final : public dtv::Xlet,
   bool fault_hang(sim::SimTime duration);
 
  private:
+  /// Read tokens: the configuration file, or the image of `instance`. Two
+  /// instances share a token only 65,535 ids apart, never both in flight.
+  static constexpr std::uint16_t kConfigRead = 0;
+  [[nodiscard]] static std::uint16_t image_read(InstanceId instance) {
+    return static_cast<std::uint16_t>(1 + instance % 65'535);
+  }
+
   void acquire_config();
+  void on_config_read(bool ok, const broadcast::CarouselFile& file);
   /// A decoded configuration; `authentic` is its signature check against
   /// the trusted key.
   void handle_control(const ControlMessage& message, bool authentic);
   void handle_wakeup(const ControlMessage& message);
   void handle_reset(const ControlMessage& message);
   void join_instance(const ControlMessage& message);
-  void on_image_read(bool ok, const broadcast::CarouselFile& file,
-                     InstanceId instance);
+  void on_image_read(std::uint16_t token, bool ok,
+                     const broadcast::CarouselFile& file);
   void leave_instance();
   /// Whether `instance` is the one this agent is in or joining.
   [[nodiscard]] bool member_of(InstanceId instance) const;

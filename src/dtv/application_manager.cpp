@@ -66,7 +66,7 @@ void ApplicationManager::process_ait(const broadcast::Ait& ait) {
   }
   for (const auto& entry : ait.entries()) {
     if (entry.control_code == broadcast::AppControlCode::kAutostart &&
-        !running(entry.application_id)) {
+        entry.base_file.empty() && !running(entry.application_id)) {
       launch(entry.application_id, entry.application_name);
     }
   }
@@ -74,16 +74,9 @@ void ApplicationManager::process_ait(const broadcast::Ait& ait) {
 
 bool ApplicationManager::launch(std::uint32_t application_id,
                                 const std::string& name) {
-  if (registry_ == nullptr) return false;
-  return launch(application_id, registry_->find(name));
-}
-
-bool ApplicationManager::launch(std::uint32_t application_id,
-                                std::uint32_t factory_index) {
-  if (registry_ == nullptr || factory_index == XletRegistry::kNotFound ||
-      running(application_id)) {
-    return false;
-  }
+  if (registry_ == nullptr || running(application_id)) return false;
+  const std::uint32_t factory_index = registry_->find(name);
+  if (factory_index == XletRegistry::kNotFound) return false;
   auto live = std::find_if(apps_.begin(), apps_.end(),
                            [](const App& app) { return !app.xlet; });
   if (live == apps_.end()) return false;
@@ -161,6 +154,23 @@ void ApplicationManager::notify_carousel(
     if (auto* c = dynamic_cast<CarouselAware*>(aware[i])) {
       c->on_carousel_update(snapshot);
     }
+  }
+}
+
+std::uint8_t ApplicationManager::slot_of(const CarouselAware& reader) const {
+  for (std::size_t i = 0; i < apps_.size(); ++i) {
+    if (dynamic_cast<const CarouselAware*>(apps_[i].xlet.get()) == &reader) {
+      return static_cast<std::uint8_t>(i);
+    }
+  }
+  throw std::logic_error("ApplicationManager: the reader is not hosted here");
+}
+
+void ApplicationManager::complete_read(std::uint8_t slot, std::uint16_t token,
+                                       const broadcast::CarouselFile* file) {
+  if (auto* reader = dynamic_cast<CarouselAware*>(apps_[slot].xlet.get())) {
+    reader->on_carousel_read(token, file != nullptr,
+                             file != nullptr ? *file : kNoCarouselFile);
   }
 }
 

@@ -55,17 +55,17 @@ class ApplicationManager {
   /// Registry launches resolve names against (nullptr: none launch).
   void set_registry(const XletRegistry* registry) { registry_ = registry; }
 
-  /// Process a (new version of the) AIT: autostart trigger applications
-  /// that are not yet running, destroy applications signalled
-  /// DESTROY/KILL. Called by the Receiver when signalling is acquired.
+  /// Process a (new version of the) AIT: destroy applications signalled
+  /// DESTROY/KILL, then autostart the trigger applications without a code
+  /// base that are not yet running. Called by the Receiver when signalling
+  /// is acquired; it launches an entry with a base file itself, once the
+  /// file has been read from the carousel.
   void process_ait(const broadcast::Ait& ait);
 
   /// Explicit lifecycle controls (also used by tests).
   /// Launch = load + initXlet + startXlet. Returns false if no factory is
   /// registered, the app is already running or every slot is taken.
   bool launch(std::uint32_t application_id, const std::string& name);
-  /// Launch by registry index (XletRegistry::find); kNotFound fails.
-  bool launch(std::uint32_t application_id, std::uint32_t factory_index);
   bool pause(std::uint32_t application_id);
   bool resume(std::uint32_t application_id);
   bool destroy(std::uint32_t application_id, bool unconditional = true);
@@ -82,8 +82,13 @@ class ApplicationManager {
 
   /// Forward a carousel update to running CarouselAware Xlets.
   void notify_carousel(const broadcast::CarouselSnapshot& snapshot);
+  /// The slot hosting `reader`; std::logic_error if none does.
+  [[nodiscard]] std::uint8_t slot_of(const CarouselAware& reader) const;
+  /// Hand a completed read to the CarouselAware Xlet in `slot`; a null
+  /// `file` is a failed read.
+  void complete_read(std::uint8_t slot, std::uint16_t token,
+                     const broadcast::CarouselFile* file);
 
-  [[nodiscard]] const XletRegistry* registry() const { return registry_; }
   /// The context every hosted Xlet is initialised with.
   [[nodiscard]] XletContext& context() { return context_; }
 

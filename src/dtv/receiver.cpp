@@ -1,6 +1,7 @@
 #include "dtv/receiver.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -12,15 +13,16 @@ const broadcast::CarouselSnapshot* XletContext::current_carousel() const {
   return receiver_->current_carousel();
 }
 
-namespace {
-
-/// Identifies a module name inside a CarouselRead without keeping a copy of
-/// the string (64-bit FNV-1a mixed by SplitMix64).
-std::uint64_t name_hash(const std::string& name) {
-  return util::stream_seed(0, name);
+void XletContext::read_carousel_file(const std::string& name,
+                                     CarouselAware& reader,
+                                     std::uint16_t token) {
+  const std::uint8_t slot =
+      receiver_->application_manager().slot_of(reader);
+  if (!receiver_->read_carousel_file(
+          name, static_cast<std::uint8_t>(slot + 1), token)) {
+    reader.on_carousel_read(token, false, kNoCarouselFile);
+  }
 }
-
-}  // namespace
 
 Receiver::Receiver(sim::Simulation& simulation, net::Network& network,
                    const DeviceProfile& profile, net::LinkSpec link)
@@ -58,7 +60,7 @@ void Receiver::set_power_mode(PowerMode mode) {
   }
 
   if (mode == PowerMode::kOff) {
-    ++session_;
+    // Untuning drops the reads in flight (tune epoch).
     apps_.destroy_all();
     for (const sim::EventId event : running_) simulation_.cancel(event);
     running_.clear();
@@ -95,7 +97,6 @@ void Receiver::tune(broadcast::BroadcastMedium& channel) {
                     obs::TraceComponent::kReceiver, {}, node_id_, 1);
   }
   if (powered()) {
-    ++session_;  // invalidate carousel reads from the previous channel
     channel_->tune(listener_id(), this, shard_);
   }
 }
@@ -106,7 +107,6 @@ void Receiver::untune() {
     recorder_->emit(simulation_.now(), obs::TraceEventKind::kTuned,
                     obs::TraceComponent::kReceiver, {}, node_id_, 0);
   }
-  ++session_;
   apps_.destroy_all();  // a channel change kills broadcast applications
   if (powered()) {
     channel_->untune(listener_id(), shard_);
@@ -156,39 +156,37 @@ bool Receiver::cancel_execution(ExecToken token) {
   return true;
 }
 
-std::optional<std::pair<sim::SimTime, Receiver::CarouselRead>>
-Receiver::begin_carousel_read(const std::string& name, bool xlet_guarded) {
-  const broadcast::CarouselSnapshot* on_air = current_carousel();
-  if (on_air == nullptr) return std::nullopt;
+bool Receiver::read_carousel_file(const std::string& name,
+                                  std::uint8_t client, std::uint16_t token) {
+  if (capsule_ == nullptr) return false;
   // Acquisition is computed from the acquired capsule alone, with a draw
   // keyed by this receiver's id and read ordinal: the same at every K.
   const std::optional<sim::SimTime> ready = capsule_->ready_at(
       name, simulation_.now(), capsule_->read_draw(listener_id(), ++reads_));
-  if (!ready) return std::nullopt;
-  const broadcast::CarouselFile* file = on_air->find(name);
-  CarouselRead read;
-  read.content_id = file->content_id;
-  read.name_hash = name_hash(name);
-  read.version = file->version;
-  read.session = session_;
-  read.xlet_generation = apps_.context().generation();
-  read.xlet_guarded = xlet_guarded;
-  return std::make_pair(*ready, read);
+  if (!ready) return false;
+  broadcast::ModuleRead read;
+  read.at = *ready;
+  read.id = listener_id();
+  read.ordinal = reads_;
+  read.version = capsule_->snapshot.find(name)->version;
+  read.module = broadcast::module_key(name);
+  read.generation = apps_.context().generation();
+  read.client = client;
+  read.token = token;
+  channel_->read(shard_, read);
+  return true;
 }
 
-const broadcast::CarouselFile* Receiver::finish_carousel_read(
-    const CarouselRead& read) const {
-  // Invalidated by power-off/channel change. A new carousel generation does
-  // NOT abort the read as long as the module itself is unchanged (same
-  // name/version/content): real DSM-CC receivers keep assembling a module
-  // across unrelated carousel updates and only restart on a module-version
-  // bump. The check runs against whatever signalling this receiver has
-  // acquired by now.
-  const broadcast::CarouselSnapshot* on_air = current_carousel();
-  if (session_ != read.session || on_air == nullptr) return nullptr;
-  for (const broadcast::CarouselFile& file : on_air->files) {
-    if (file.content_id == read.content_id && file.version == read.version &&
-        name_hash(file.name) == read.name_hash) {
+const broadcast::CarouselFile* Receiver::module_on_air(
+    const broadcast::ModuleRead& read) const {
+  // A new carousel generation does NOT abort the read as long as the module
+  // itself (name and version) is unchanged: real DSM-CC receivers keep
+  // assembling a module across unrelated carousel updates and only restart
+  // on a module-version bump. The check runs against whatever signalling
+  // this receiver has acquired by now.
+  for (const broadcast::CarouselFile& file : capsule_->snapshot.files) {
+    if (file.version == read.version &&
+        broadcast::module_key(file.name) == read.module) {
       return &file;
     }
   }
@@ -211,28 +209,39 @@ void Receiver::on_signalling_capsule(
   apps_.notify_carousel(capsule->snapshot);
 }
 
+void Receiver::on_read_done(const broadcast::ModuleRead& read) {
+  // The audience delivers only while this receiver stays tuned under the
+  // read's tune epoch: a power-off, untune or re-tune dropped it.
+  const broadcast::CarouselFile* file = module_on_air(read);
+  if (read.client != kAutostart) {
+    // An Xlet's read is dropped once the hosted Xlets' generation moved.
+    if (read.generation == apps_.context().generation()) {
+      apps_.complete_read(static_cast<std::uint8_t>(read.client - 1),
+                          read.token, file);
+    }
+    return;
+  }
+  if (file == nullptr) return;
+  // The code base is in: launch the AUTOSTART entries waiting for it.
+  for (const auto& entry : capsule_->ait.entries()) {
+    if (entry.control_code == broadcast::AppControlCode::kAutostart &&
+        !entry.base_file.empty() && !apps_.running(entry.application_id) &&
+        broadcast::module_key(entry.base_file) == read.module) {
+      apps_.launch(entry.application_id, entry.application_name);
+    }
+  }
+}
+
 void Receiver::autostart_from_ait(const broadcast::Ait& ait) {
   for (const auto& entry : ait.entries()) {
+    // An entry without a code base launches in process_ait.
     if (entry.control_code != broadcast::AppControlCode::kAutostart ||
-        apps_.running(entry.application_id)) {
-      continue;
-    }
-    if (entry.base_file.empty()) {
-      apps_.launch(entry.application_id, entry.application_name);
+        entry.base_file.empty() || apps_.running(entry.application_id)) {
       continue;
     }
     // The trigger application's code base must first be read from the
     // carousel (this is what spreads PNA launch times across receivers).
-    const std::uint32_t factory =
-        apps_.registry() != nullptr
-            ? apps_.registry()->find(entry.application_name)
-            : XletRegistry::kNotFound;
-    read_carousel_file(
-        entry.base_file,
-        [this, id = entry.application_id, factory](
-            bool ok, const broadcast::CarouselFile&) {
-          if (ok && !apps_.running(id)) apps_.launch(id, factory);
-        });
+    read_carousel_file(entry.base_file, kAutostart, 0);
   }
 }
 

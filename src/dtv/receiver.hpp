@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,16 +13,15 @@
 #include "net/network.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/simulation.hpp"
-#include "util/rng.hpp"
 
 /// A DTV receiver (set-top box): tuner + middleware + interactive-apps
 /// processor + return channel.
 ///
 /// The receiver is the host environment for the PNA Xlet. It:
-///  * tunes a broadcast medium (DTV channel, multicast group) and forwards
-///    acquired AITs to its
-///    ApplicationManager (AUTOSTART apps launch after their code base has
-///    been read from the carousel);
+///  * tunes a broadcast medium (DTV channel, multicast group), forwards
+///    acquired AITs to its ApplicationManager and launches AUTOSTART apps
+///    once their code base has been read from the carousel; its reads wait
+///    in the medium's per-shard read queue (broadcast::Audience);
 ///  * models the dedicated interactive-application processor as a FIFO
 ///    resource whose speed depends on the device profile and power mode;
 ///  * owns the direct (return) channel endpoint used by Xlets to talk to
@@ -102,17 +100,6 @@ class Receiver final : public broadcast::BroadcastListener,
   /// Local duration a job of `reference_seconds` takes right now.
   [[nodiscard]] double scaled_seconds(double reference_seconds) const;
 
-  // --- carousel access -------------------------------------------------------
-  /// Acquire `name` from the tuned carousel: `on_done(ok, file)` runs once
-  /// it is received in full; `ok` is false if it is not on air, its module
-  /// changed meanwhile, or the receiver was untuned/powered off. `file` is
-  /// valid during the call. A callable of <= 16 B keeps the event inline.
-  /// An `xlet_guarded` read (XletContext) is dropped, not run, once the
-  /// hosted Xlets' generation moves.
-  template <typename F>
-  void read_carousel_file(const std::string& name, F&& on_done,
-                          bool xlet_guarded = false);
-
   // --- return channel --------------------------------------------------------
   /// Direct-channel messages go to `handler` until cleared.
   void set_message_handler(MessageHandler* handler) { handler_ = handler; }
@@ -124,29 +111,30 @@ class Receiver final : public broadcast::BroadcastListener,
   void on_signalling_capsule(
       const std::shared_ptr<const broadcast::SignallingCapsule>& capsule)
       override;
+  void on_read_done(const broadcast::ModuleRead& read) override;
 
   // --- net::Endpoint ----------------------------------------------------------
   void on_message(net::NodeId from, const net::MessagePtr& message) override;
 
  private:
-  /// The module a carousel read in flight is assembling (32 B, not a
-  /// CarouselFile copy), re-checked against what is on air at completion.
-  struct CarouselRead {
-    std::uint64_t content_id = 0;
-    std::uint64_t name_hash = 0;
-    std::uint32_t version = 0;
-    std::uint32_t session = 0;
-    std::uint32_t xlet_generation = 0;
-    bool xlet_guarded = false;
-  };
+  friend class XletContext;
 
-  /// Completion time and module, or nullopt when the read fails at once.
-  std::optional<std::pair<sim::SimTime, CarouselRead>> begin_carousel_read(
-      const std::string& name, bool xlet_guarded);
-  /// The module now on air if `read` is still valid, else nullptr.
-  [[nodiscard]] const broadcast::CarouselFile* finish_carousel_read(
-      const CarouselRead& read) const;
+  /// A read's client: the receiver's own autostart, or 1 + the application
+  /// slot of the Xlet that asked.
+  static constexpr std::uint8_t kAutostart = 0;
 
+  /// Queue a read of `name` from the acquired capsule on the tuned medium's
+  /// read queue; false, with nothing queued, when nothing is acquired or
+  /// `name` is not on air.
+  bool read_carousel_file(const std::string& name, std::uint8_t client,
+                          std::uint16_t token);
+  /// The module `read` assembles if it is still on air in the acquired
+  /// capsule, else nullptr.
+  [[nodiscard]] const broadcast::CarouselFile* module_on_air(
+      const broadcast::ModuleRead& read) const;
+
+  /// Read the code base of every AUTOSTART entry that has one and is not
+  /// running; on_read_done launches it.
   void autostart_from_ait(const broadcast::Ait& ait);
 
   sim::Simulation& simulation_;
@@ -170,39 +158,7 @@ class Receiver final : public broadcast::BroadcastListener,
   std::uint32_t shard_ = 0;
   /// Carousel reads begun so far: the ordinal that keys each read's draw.
   std::uint32_t reads_ = 0;
-  /// Bumped whenever in-flight async work must be invalidated (power off,
-  /// channel change).
-  std::uint32_t session_ = 0;
   PowerMode power_ = PowerMode::kStandby;
 };
-
-/// The failure value carousel-read callbacks receive.
-inline const broadcast::CarouselFile kNoCarouselFile{};
-
-template <typename F>
-void Receiver::read_carousel_file(const std::string& name, F&& on_done,
-                                  bool xlet_guarded) {
-  auto read = begin_carousel_read(name, xlet_guarded);
-  if (!read) {
-    on_done(false, kNoCarouselFile);
-    return;
-  }
-  simulation_.schedule_at(
-      read->first, [this, r = read->second,
-                    cb = std::forward<F>(on_done)]() mutable {
-        if (r.xlet_guarded &&
-            r.xlet_generation != apps_.context().generation()) {
-          return;
-        }
-        const broadcast::CarouselFile* file = finish_carousel_read(r);
-        cb(file != nullptr, file != nullptr ? *file : kNoCarouselFile);
-      });
-}
-
-template <typename F>
-void XletContext::read_carousel_file(const std::string& name, F&& on_done) {
-  receiver_->read_carousel_file(name, std::forward<F>(on_done),
-                                /*xlet_guarded=*/true);
-}
 
 }  // namespace oddci::dtv

@@ -22,6 +22,10 @@
 namespace oddci::dtv {
 
 class Receiver;  // forward: the hosting set-top box
+class CarouselAware;
+
+/// The file a failed carousel read hands back.
+inline const broadcast::CarouselFile kNoCarouselFile{};
 
 enum class XletState { kLoaded, kPaused, kStarted, kDestroyed };
 
@@ -49,10 +53,14 @@ class XletContext {
   /// carousel read.
   [[nodiscard]] const broadcast::CarouselSnapshot* current_carousel() const;
 
-  /// Receiver::read_carousel_file, but a completion arriving after the
-  /// generation moved is dropped instead of run. Defined in receiver.hpp.
-  template <typename F>
-  void read_carousel_file(const std::string& name, F&& on_done);
+  /// Acquire `name` from the tuned carousel for `reader`, a hosted Xlet:
+  /// `reader.on_carousel_read(token, ok, file)` runs once it is received
+  /// in full, with `ok` false if it is not on air (then at once) or its
+  /// module changed meanwhile. The completion is dropped instead once the
+  /// generation moves or the receiver powers off, untunes or re-tunes.
+  /// Throws std::logic_error if `reader` is not hosted here.
+  void read_carousel_file(const std::string& name, CarouselAware& reader,
+                          std::uint16_t token);
 
   /// Bumped when an Xlet is destroyed, crashes or hangs; callbacks captured
   /// under an older value must do nothing.
@@ -89,13 +97,18 @@ class Xlet {
 };
 
 /// Optional mixin for Xlets that track carousel updates (new generations of
-/// the object carousel and AIT, e.g. fresh OddCI control messages). The
-/// Receiver forwards acquired signalling to running Xlets implementing it.
+/// the object carousel and AIT, e.g. fresh OddCI control messages) and read
+/// files off the carousel. The Receiver forwards acquired signalling to
+/// running Xlets implementing it.
 class CarouselAware {
  public:
   virtual ~CarouselAware() = default;
   virtual void on_carousel_update(
       const broadcast::CarouselSnapshot& snapshot) = 0;
+  /// A read issued through XletContext::read_carousel_file completed with
+  /// the caller's `token`; `file` is valid during the call.
+  virtual void on_carousel_read(std::uint16_t token, bool ok,
+                                const broadcast::CarouselFile& file) = 0;
 };
 
 /// Factory used by the ApplicationManager to instantiate the class named in

@@ -118,10 +118,12 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_cancelled() const {
     return events_cancelled_;
   }
-  /// Heap blocks holding event and timer slots (SlotPool chunks): the
-  /// kernel's only allocations that grow with the population.
-  [[nodiscard]] std::size_t slab_chunks() const {
-    return slots_.chunks() + wheel_->slab_chunks();
+  /// Heap blocks holding event slots and timer slots (SlotPool chunks of
+  /// 4,096): the kernel's only allocations that grow with the population.
+  /// Neither is handed back, so each reads the high-water mark.
+  [[nodiscard]] std::size_t event_chunks() const { return slots_.chunks(); }
+  [[nodiscard]] std::size_t timer_chunks() const {
+    return wheel_->slab_chunks();
   }
 
   /// Attach a wall-clock profiler: run()/run_until()/run_window() bodies

@@ -311,9 +311,13 @@ TEST_F(PnaTest, AssignmentRacingAResetIsHandedBack) {
 
 TEST_F(PnaTest, JoiningStateReportedWhileImageLoads) {
   stage_control(wakeup(7));
+  // The agent launches once its code base is read, then reads the wakeup
+  // and starts the image read.
+  while (counters.control_messages_seen.value() == 0) ASSERT_TRUE(sim.step());
   // The 1 MB image at ~1 Mbps takes ~8.4 s+ to read; before that the PNA
   // must have announced kJoining.
-  sim.run_until(sim::SimTime::from_seconds(4));
+  sim.run_until(sim.now() + sim::SimTime::from_seconds(4));
+  EXPECT_EQ(counters.joins.value(), 0u);
   bool saw_joining = false;
   for (const auto& hb : controller.heartbeats) {
     if (hb.state == PnaState::kJoining && hb.instance == 7) {
@@ -322,6 +326,41 @@ TEST_F(PnaTest, JoiningStateReportedWhileImageLoads) {
   }
   ASSERT_NE(pna(), nullptr);
   EXPECT_TRUE(saw_joining || pna()->state() == PnaState::kJoining);
+}
+
+TEST_F(PnaTest, ImageReadOfAnEarlierJoinIsIgnored) {
+  // Join instance 7 (a 4-MB image), be reset out of it while the image is
+  // still being read, then join instance 8 (a 1-MB image). The first
+  // join's read completes during the second join: it must not make the
+  // agent a member of 8 running 7's image.
+  ControlMessage first = wakeup(7);
+  first.image.size = util::Bits::from_megabytes(4);
+  channel.carousel().put_file(first.image.name, first.image.size,
+                              first.image.image_id);
+  stage_control(first);
+  while (pna() == nullptr || pna()->state() != PnaState::kJoining) {
+    ASSERT_TRUE(sim.step());
+  }
+  ControlMessage reset;
+  reset.type = ControlType::kReset;
+  reset.instance = 7;
+  stage_control(reset);
+  while (pna()->state() == PnaState::kJoining) ASSERT_TRUE(sim.step());
+  ControlMessage second = wakeup(8);
+  second.image = {2, "image-2", util::Bits::from_megabytes(1)};
+  channel.carousel().put_file(second.image.name, second.image.size,
+                              second.image.image_id);
+  stage_control(second);
+  while (pna()->state() != PnaState::kJoining) ASSERT_TRUE(sim.step());
+  // The first join's image read is still in flight, beside the second's.
+  ASSERT_EQ(channel.reads_pending(), 2u);
+  ASSERT_EQ(counters.joins.value(), 0u);
+
+  sim.run_until(sim.now() + sim::SimTime::from_seconds(600));
+  EXPECT_EQ(pna()->instance(), 8u);
+  ASSERT_NE(pna()->dve(), nullptr);
+  EXPECT_EQ(pna()->dve()->image().name, "image-2");
+  EXPECT_EQ(counters.joins.value(), 1u);
 }
 
 TEST_F(PnaTest, PowerOffDestroysXlet) {

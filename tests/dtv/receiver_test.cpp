@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "broadcast/channel.hpp"
@@ -36,6 +38,39 @@ class Nop final : public Xlet {
   void destroy_xlet(bool) override {}
 };
 
+/// One completed carousel read, as an Xlet saw it.
+struct Completion {
+  std::uint16_t token = 0;
+  bool ok = false;
+  std::string name;
+  std::uint64_t content_id = 0;
+  sim::SimTime at;
+};
+
+/// An Xlet that reads files off the carousel and logs the completions.
+class Reader final : public Xlet, public CarouselAware {
+ public:
+  explicit Reader(std::vector<Completion>* log) : log_(log) {}
+  void init_xlet(XletContext& context) override { context_ = &context; }
+  void start_xlet() override {}
+  void pause_xlet() override {}
+  void destroy_xlet(bool) override {}
+  void on_carousel_update(const broadcast::CarouselSnapshot&) override {}
+  void on_carousel_read(std::uint16_t token, bool ok,
+                        const broadcast::CarouselFile& file) override {
+    log_->push_back(
+        {token, ok, file.name, file.content_id, context_->simulation().now()});
+  }
+
+  void read(const std::string& name, std::uint16_t token) {
+    context_->read_carousel_file(name, *this, token);
+  }
+
+ private:
+  std::vector<Completion>* log_;
+  XletContext* context_ = nullptr;
+};
+
 struct ReceiverTest : ::testing::Test {
   sim::Simulation sim;
   net::Network net{sim};
@@ -48,6 +83,19 @@ struct ReceiverTest : ::testing::Test {
                      sim::SimTime::from_millis(10)};
   std::unique_ptr<Receiver> receiver = std::make_unique<Receiver>(
       sim, net, DeviceProfile::stb_st7109(), link);
+
+  XletRegistry registry;
+  /// What the hosted Reader's reads completed with; outlives the Reader.
+  std::vector<Completion> reads;
+
+  /// Launch a Reader as application 9.
+  Reader& launch_reader() {
+    registry.register_factory(
+        "reader", [this](Receiver&) { return std::make_unique<Reader>(&reads); });
+    receiver->application_manager().set_registry(&registry);
+    EXPECT_TRUE(receiver->application_manager().launch(9, "reader"));
+    return dynamic_cast<Reader&>(*receiver->application_manager().find(9));
+  }
 
   /// Commit the staged carousel and run until the receiver has acquired
   /// the capsule: one table repetition. It reads only what it acquired.
@@ -146,55 +194,60 @@ TEST_F(ReceiverTest, SendWhileOffIsDropped) {
 }
 
 TEST_F(ReceiverTest, CarouselReadFailsWhenUntunedOrMissing) {
-  int failures = 0;
-  receiver->read_carousel_file(
-      "f", [&](bool ok, const broadcast::CarouselFile&) {
-        if (!ok) ++failures;
-      });
-  EXPECT_EQ(failures, 1);  // not tuned
+  Reader& reader = launch_reader();
+  reader.read("f", 1);
+  // Not tuned: the read fails at once.
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_EQ(reads[0].token, 1u);
+  EXPECT_FALSE(reads[0].ok);
 
   receiver->tune(channel);
-  receiver->read_carousel_file(
-      "f", [&](bool ok, const broadcast::CarouselFile&) {
-        if (!ok) ++failures;
-      });
-  EXPECT_EQ(failures, 2);  // nothing committed / file absent
+  reader.read("f", 2);
+  // Nothing committed / file absent.
+  ASSERT_EQ(reads.size(), 2u);
+  EXPECT_EQ(reads[1].token, 2u);
+  EXPECT_FALSE(reads[1].ok);
 }
 
 TEST_F(ReceiverTest, CarouselReadCompletesAfterAcquisition) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   commit_and_acquire();
-  bool ok_read = false;
-  sim::SimTime done_at;
-  receiver->read_carousel_file(
-      "f", [&](bool ok, const broadcast::CarouselFile& file) {
-        ok_read = ok;
-        done_at = sim.now();
-        EXPECT_EQ(file.name, "f");
-        EXPECT_EQ(file.content_id, 1u);
-      });
+  Reader& reader = launch_reader();
+  const sim::SimTime issued = sim.now();
+  reader.read("f", 3);
+  EXPECT_EQ(channel.reads_pending(), 1u);
   sim.run();
-  EXPECT_TRUE(ok_read);
-  // At 1 Mbps the 1 Mbit file needs at least 1 s (plus phase wait).
-  EXPECT_GE(done_at.seconds(), 1.0 - 1e-6);
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_EQ(reads[0].token, 3u);
+  EXPECT_TRUE(reads[0].ok);
+  EXPECT_EQ(reads[0].name, "f");
+  EXPECT_EQ(reads[0].content_id, 1u);
+  // At 1 Mbps the 1 Mbit file needs at least 1 s (plus phase wait), and
+  // the read completes at the capsule's keyed instant (first read).
+  EXPECT_GE(reads[0].at.seconds(), 1.0 - 1e-6);
+  const auto& capsule = *channel.on_air();
+  EXPECT_EQ(reads[0].at,
+            capsule.ready_at("f", issued,
+                             capsule.read_draw(receiver->listener_id(), 1)));
+  EXPECT_EQ(channel.reads_pending(), 0u);
 }
 
 TEST_F(ReceiverTest, CarouselReadInvalidatedByPowerOff) {
+  // A power-off destroys the reading Xlet and untunes: its completion is
+  // dropped, not reported, and does not reach an Xlet launched after the
+  // receiver powers back on and re-acquires the carousel.
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   commit_and_acquire();
-  bool ok_read = true;
-  bool called = false;
-  receiver->read_carousel_file(
-      "f", [&](bool ok, const broadcast::CarouselFile&) {
-        called = true;
-        ok_read = ok;
-      });
+  launch_reader().read("f", 4);
   receiver->set_power_mode(PowerMode::kOff);
+  EXPECT_EQ(receiver->application_manager().find(9), nullptr);
+  receiver->set_power_mode(PowerMode::kStandby);
+  ASSERT_TRUE(receiver->application_manager().launch(9, "reader"));
   sim.run();
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok_read);
+  EXPECT_NE(receiver->current_carousel(), nullptr);
+  EXPECT_TRUE(reads.empty());
 }
 
 TEST_F(ReceiverTest, CarouselReadSurvivesUnrelatedCommit) {
@@ -202,36 +255,36 @@ TEST_F(ReceiverTest, CarouselReadSurvivesUnrelatedCommit) {
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   channel.carousel().put_file("other", util::Bits(1'000'000), 2);
   commit_and_acquire();
-  bool ok_read = false;
-  receiver->read_carousel_file(
-      "f",
-      [&](bool ok, const broadcast::CarouselFile&) { ok_read = ok; });
+  launch_reader().read("f", 5);
   // Update the *other* module: module-version semantics keep our read.
   channel.carousel().put_file("other", util::Bits(1'000'000), 3);
   channel.commit();
   sim.run();
-  EXPECT_TRUE(ok_read);
+  ASSERT_EQ(receiver->current_carousel()->generation, 2u);
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_TRUE(reads[0].ok);
+  EXPECT_EQ(reads[0].content_id, 1u);
 }
 
 TEST_F(ReceiverTest, CarouselReadInvalidatedByModuleUpdate) {
   receiver->tune(channel);
   channel.carousel().put_file("f", util::Bits(1'000'000), 1);
   commit_and_acquire();
-  bool ok_read = true;
-  receiver->read_carousel_file(
-      "f",
-      [&](bool ok, const broadcast::CarouselFile&) { ok_read = ok; });
+  launch_reader().read("f", 6);
   channel.carousel().put_file("f", util::Bits(1'000'000), 5);  // version bump
   channel.commit();
   sim.run();
-  EXPECT_FALSE(ok_read);
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_EQ(reads[0].token, 6u);
+  EXPECT_FALSE(reads[0].ok);
 }
 
 TEST_F(ReceiverTest, AutostartLaunchesAfterBaseFileAcquisition) {
   int launches = 0;
-  XletRegistry registry;
+  sim::SimTime launched_at;
   registry.register_factory("app", [&](Receiver&) {
     ++launches;
+    launched_at = sim.now();
     return std::make_unique<Nop>();
   });
   receiver->application_manager().set_registry(&registry);
@@ -242,15 +295,24 @@ TEST_F(ReceiverTest, AutostartLaunchesAfterBaseFileAcquisition) {
   e.application_name = "app";
   e.base_file = "app.jar";
   channel.ait().upsert(e);
-  channel.carousel().put_file("app.jar", util::Bits(100'000), 1);
+  // 1 Mbit on the 1-Mbps carousel: the code base takes at least 1 s.
+  channel.carousel().put_file("app.jar", util::Bits(1'000'000), 1);
   channel.commit();
+  const sim::SimTime acquired =
+      sim.now() +
+      channel.announcement_phase(1, receiver->listener_id(), 1);
   sim.run();
   EXPECT_EQ(launches, 1);
   EXPECT_TRUE(receiver->application_manager().running(1));
+  // Not at acquisition: once the code base is read in full.
+  const auto& capsule = *channel.on_air();
+  const sim::SimTime ready = *capsule.ready_at(
+      "app.jar", acquired, capsule.read_draw(receiver->listener_id(), 1));
+  EXPECT_GE(launched_at, ready);
+  EXPECT_GE(launched_at.seconds(), 1.0);
 }
 
 TEST_F(ReceiverTest, ChannelChangeDestroysApps) {
-  XletRegistry registry;
   registry.register_factory("app",
                             [](Receiver&) { return std::make_unique<Nop>(); });
   receiver->application_manager().set_registry(&registry);

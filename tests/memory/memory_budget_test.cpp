@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <iostream>
 #include <new>
 
+#include "core/churn.hpp"
 #include "core/pna.hpp"
 #include "core/system.hpp"
 #include "dtv/xlet.hpp"
@@ -139,9 +141,9 @@ static_assert(sizeof(PnaXlet) <= 160,
               "PnaXlet is per-receiver hot state: keep it small");
 
 constexpr std::size_t kReceivers = 10'000;
-/// Live heap bytes each idle receiver may add: 700 B measured, plus 5%
+/// Live heap bytes each idle receiver may add: 502 B measured, plus 5%
 /// (see DESIGN.md §5 for the breakdown).
-constexpr double kLiveBytesBudget = 735.0;
+constexpr double kLiveBytesBudget = 527.0;
 
 /// Heap a deployed, warmed-up population holds (and its high-water mark on
 /// the way there). The allocation count excludes the kernels' slab chunks,
@@ -155,9 +157,18 @@ struct Footprint {
 std::size_t kernel_chunks(OddciSystem& system) {
   std::size_t chunks = 0;
   for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
-    chunks += system.kernel().shard(s).slab_chunks();
+    const sim::Simulation& shard = system.kernel().shard(s);
+    chunks += shard.event_chunks() + shard.timer_chunks();
   }
   return chunks;
+}
+
+std::size_t pending_events(OddciSystem& system) {
+  std::size_t events = 0;
+  for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+    events += system.kernel().shard(s).pending_events();
+  }
+  return events;
 }
 
 std::size_t armed_timers(OddciSystem& system) {
@@ -222,6 +233,9 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
   PnaXlet* agent = nullptr;
   dtv::XletContext* context = nullptr;
   const std::uint32_t generation = 7;
+  ChurnProcess* churn = nullptr;
+  const std::uint32_t index = 3;
+  const std::uint32_t ordinal = 5;
 
   const std::int64_t allocs0 = g_live_allocs.load();
   constexpr int kEach = 1000;
@@ -237,10 +251,52 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
           (void)gen;
           fn();
         });
+    // ChurnProcess::schedule_toggle: a churning receiver's dwell.
+    simulation.schedule_timer_in(delay, [churn, index, ordinal] {
+      (void)churn;
+      (void)index;
+      (void)ordinal;
+    });
   }
-  // 2,000 timers fit the first chunk: not one heap block was added.
+  // 3,000 timers fit the first chunk: not one heap block was added.
   EXPECT_EQ(g_live_allocs.load(), allocs0);
-  EXPECT_EQ(simulation.timers().active_timers(), 2u * kEach);
+  EXPECT_EQ(simulation.timers().active_timers(), 3u * kEach);
+}
+
+TEST(MemoryBudget, CarouselReadsArmNoKernelEvent) {
+  // A carousel read waits in its medium's read queue on the reader's
+  // shard, served by one kernel event per shard. Through the launch (each
+  // receiver reads the PNA's code base, then its agent the configuration),
+  // the warmup and a recommit, the kernel never holds more than a handful
+  // of events, and the event slab keeps its first chunk.
+  SystemConfig config;
+  config.receivers = 2 * kReceivers;
+  config.seed = 20261016;
+  OddciSystem system(config);
+  std::size_t peak_events = 0;
+  std::size_t peak_reads = 0;
+  const auto run_for = [&](sim::SimTime span) {
+    const sim::SimTime end = system.simulation().now() + span;
+    while (system.simulation().now() < end) {
+      system.kernel().run_until(system.simulation().now() +
+                                sim::SimTime::from_millis(100));
+      peak_events = std::max(peak_events, pending_events(system));
+      peak_reads = std::max(peak_reads, system.channel().reads_pending());
+    }
+  };
+  system.controller().deploy_pna();
+  run_for(config.warmup);
+  system.channel().commit();
+  run_for(sim::SimTime::from_seconds(10));
+  std::cout << "peak: " << peak_events << " kernel events, " << peak_reads
+            << " reads pending\n";
+  // The launch storm happened, and it waited in the read queue.
+  EXPECT_GT(peak_reads, config.receivers / 2);
+  EXPECT_LT(peak_events, config.receivers / 50);
+  for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+    EXPECT_EQ(system.kernel().shard(s).event_chunks(), 1u) << "shard " << s;
+  }
+  EXPECT_EQ(system.channel().reads_pending(), 0u);
 }
 
 TEST(MemoryBudget, RecommitOnAWarmPopulationArmsNoTimerAndNoChunk) {

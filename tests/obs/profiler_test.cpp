@@ -93,6 +93,8 @@ TEST(ProfileSnapshot, JsonRoundTripIsExact) {
   snapshot.per_shard[0].events_scheduled = 130;
   snapshot.per_shard[0].events_cancelled = 2;
   snapshot.per_shard[0].events_pending = 5;
+  snapshot.per_shard[0].event_chunks = 1;
+  snapshot.per_shard[1].timer_chunks = 25;
 
   const std::string json = to_profile_json(snapshot);
   EXPECT_NE(json.find(kProfileSchema), std::string::npos);
@@ -100,6 +102,20 @@ TEST(ProfileSnapshot, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed, snapshot);
   // Re-export of the parse is the fixed point.
   EXPECT_EQ(to_profile_json(parsed), json);
+}
+
+TEST(ProfileSnapshot, ProfilesWithoutSlabChunksStillLoad) {
+  // Profiles written before the per-shard slab chunk counts read them as
+  // zero.
+  ProfileSnapshot snapshot;
+  snapshot.per_shard.resize(1);
+  snapshot.per_shard[0].events_executed = 9;
+  std::string json = to_profile_json(snapshot);
+  const std::string chunks = R"(,"event_chunks":0,"timer_chunks":0)";
+  const std::size_t at = json.find(chunks);
+  ASSERT_NE(at, std::string::npos);
+  json.erase(at, chunks.size());
+  EXPECT_EQ(profile_from_json(json), snapshot);
 }
 
 TEST(ProfileSnapshot, ForeignSchemaIsRejected) {
