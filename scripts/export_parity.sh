@@ -13,10 +13,15 @@
 # without its `scenario:` line (the path differs). Each side runs its own
 # scenario files, so a change to a scenario shows up as a difference.
 #
+# Every run sets a flight-recorder ring (`trace_capacity`) large enough for
+# its whole trace, so the trace comparison covers the run from its first
+# event. A run whose ring filled up on either side may have overwritten
+# its start; the script names it and fails.
+#
 # Prints every file that differs and, for each differing metrics JSON, the
 # differing cells: kind, name and, for a series, how many points differ
-# and the first one. Exit status: 0 when all match, 1 when any differs, 2
-# on a usage or build error. Everything it writes lives in build-parity/
+# and the first one. Exit status: 0 when all match, 1 when any differs or
+# a ring filled up, 2 on a usage or build error. Everything it writes lives in build-parity/
 # (git-ignored); delete that directory when done.
 set -euo pipefail
 
@@ -56,26 +61,31 @@ fault_pna_hang_ph=20 fault_corrupt_ph=10"
 
 # name | scenario | overrides; scenario "-" is the empty file. Sizes are
 # cut down from the scenario files where those take minutes; the profiler
-# stays off so stdout carries no wall-clock figures.
+# stays off so stdout carries no wall-clock figures. Each ring holds at
+# least 1.25 times the most events one shard of the run records (K=1 /
+# K>1: paper_baseline 43k / 17k, faulty_region 65k / 18k, lossy_evening
+# 89k / 46k, iptv_aggregated 30k / 13k, byzantine_10pct 419k / 87k,
+# profiled_churny 132k / 21k, constrained_return 521k / 134k,
+# delta_paced 43k, fault_matrix 20k / 9k, relay 18k).
 runs=(
-  "paper_baseline_k1|paper_baseline|shards=1"
-  "paper_baseline_k4|paper_baseline|shards=4"
-  "faulty_region_k1|faulty_region|shards=1"
-  "faulty_region_k4|faulty_region|shards=4"
-  "lossy_evening_k1|lossy_evening|shards=1"
-  "lossy_evening_k2|lossy_evening|shards=2"
-  "iptv_aggregated_k1|iptv_aggregated|shards=1"
-  "iptv_aggregated_k4|iptv_aggregated|shards=4"
-  "byzantine_10pct_k1|byzantine_10pct|shards=1 receivers=20000"
-  "byzantine_10pct_k4|byzantine_10pct|shards=4 receivers=20000"
-  "profiled_churny_k1|profiled_churny_k8|shards=1 receivers=8000 progress=false profile_json="
-  "profiled_churny_k8|profiled_churny_k8|shards=8 receivers=8000 progress=false profile_json="
-  "constrained_return_k1|constrained_return_1m|shards=1 receivers=50000 instance_size=1000 tasks=2000 progress=false"
-  "constrained_return_k4|constrained_return_1m|shards=4 receivers=50000 instance_size=1000 tasks=2000 progress=false"
-  "delta_paced_k1|paper_baseline|shards=1 aggregators=8 heartbeat_mode=delta heartbeat_paced=true tree_fanin=4"
-  "fault_matrix_k1|-|shards=1 $fault_matrix"
-  "fault_matrix_k4|-|shards=4 $fault_matrix"
-  "relay_k4|paper_baseline|shards=4 aggregators=16 heartbeat_mode=delta tree_fanin=8"
+  "paper_baseline_k1|paper_baseline|shards=1 trace_capacity=65536"
+  "paper_baseline_k4|paper_baseline|shards=4 trace_capacity=32768"
+  "faulty_region_k1|faulty_region|shards=1 trace_capacity=131072"
+  "faulty_region_k4|faulty_region|shards=4 trace_capacity=32768"
+  "lossy_evening_k1|lossy_evening|shards=1 trace_capacity=131072"
+  "lossy_evening_k2|lossy_evening|shards=2 trace_capacity=65536"
+  "iptv_aggregated_k1|iptv_aggregated|shards=1 trace_capacity=65536"
+  "iptv_aggregated_k4|iptv_aggregated|shards=4 trace_capacity=32768"
+  "byzantine_10pct_k1|byzantine_10pct|shards=1 receivers=20000 trace_capacity=1048576"
+  "byzantine_10pct_k4|byzantine_10pct|shards=4 receivers=20000 trace_capacity=131072"
+  "profiled_churny_k1|profiled_churny_k8|shards=1 receivers=8000 progress=false profile_json= trace_capacity=262144"
+  "profiled_churny_k8|profiled_churny_k8|shards=8 receivers=8000 progress=false profile_json= trace_capacity=32768"
+  "constrained_return_k1|constrained_return_1m|shards=1 receivers=50000 instance_size=1000 tasks=2000 progress=false trace_capacity=1048576"
+  "constrained_return_k4|constrained_return_1m|shards=4 receivers=50000 instance_size=1000 tasks=2000 progress=false trace_capacity=262144"
+  "delta_paced_k1|paper_baseline|shards=1 aggregators=8 heartbeat_mode=delta heartbeat_paced=true tree_fanin=4 trace_capacity=65536"
+  "fault_matrix_k1|-|shards=1 $fault_matrix trace_capacity=32768"
+  "fault_matrix_k4|-|shards=4 $fault_matrix trace_capacity=16384"
+  "relay_k4|paper_baseline|shards=4 aggregators=16 heartbeat_mode=delta tree_fanin=8 trace_capacity=32768"
 )
 
 run_side() {  # <side> <runner> <source dir> <name> <scenario> <overrides>
@@ -90,6 +100,21 @@ run_side() {  # <side> <runner> <source dir> <name> <scenario> <overrides>
   # The exit status is part of the compared output.
   { grep -v '^scenario: ' "$out/$4.stdout" || true
     echo "exit status: $status"; } >"$out/$4.stdout.cmp"
+}
+
+# Prints the shards whose ring in a Chrome trace is full: recorder s of K
+# allocates span ids s + 1 + n * K, and a ring that holds `capacity`
+# events may have overwritten older ones.
+full_rings() {  # <trace json> <shards> <capacity>
+  python3 - "$1" "$2" "$3" <<'PY'
+import collections, json, sys
+
+k, capacity = int(sys.argv[2]), int(sys.argv[3])
+counts = collections.Counter(
+    (int(e["args"]["span"]) - 1) % k
+    for e in json.load(open(sys.argv[1]))["traceEvents"] if e["ph"] == "X")
+print(" ".join(str(s) for s, n in sorted(counts.items()) if n >= capacity))
+PY
 }
 
 # Lists the cells in which two oddci.metrics.v1 files differ.
@@ -147,6 +172,7 @@ PY
 }
 
 differ=()
+wrapped=()
 for run in "${runs[@]}"; do
   IFS='|' read -r name scenario overrides <<<"$run"
   echo "run $name"
@@ -154,6 +180,16 @@ for run in "${runs[@]}"; do
     "$name" "$scenario" "$overrides"
   run_side head "$work/head-build/examples/oddci_runner" "$root" \
     "$name" "$scenario" "$overrides"
+  shards=$(grep -o 'shards=[0-9]*' <<<"$overrides" | cut -d= -f2)
+  capacity=$(grep -o 'trace_capacity=[0-9]*' <<<"$overrides" | cut -d= -f2)
+  for side in base head; do
+    trace="$work/out/$side/$name.trace.json"
+    [[ -e $trace ]] || continue
+    full=$(full_rings "$trace" "$shards" "$capacity")
+    if [[ -n $full ]]; then
+      wrapped+=("$name ($side side, shard(s) $full at trace_capacity=$capacity)")
+    fi
+  done
   for f in metrics.json series.csv trace.json stdout.cmp; do
     a="$work/out/base/$name.$f"
     b="$work/out/head/$name.$f"
@@ -166,6 +202,10 @@ for run in "${runs[@]}"; do
   done
 done
 
+if [[ ${#wrapped[@]} -gt 0 ]]; then
+  echo "export parity FAILED: a trace ring filled up, raise its trace_capacity:"
+  for w in "${wrapped[@]}"; do echo "  $w"; done
+fi
 if [[ ${#differ[@]} -gt 0 ]]; then
   echo "export parity FAILED: ${#differ[@]} file(s) differ from ${base_rev:0:12}:"
   for f in "${differ[@]}"; do
@@ -174,6 +214,8 @@ if [[ ${#differ[@]} -gt 0 ]]; then
       diff_metrics "$work/out/base/$f" "$work/out/head/$f"
     fi
   done
+fi
+if [[ ${#differ[@]} -gt 0 || ${#wrapped[@]} -gt 0 ]]; then
   echo "(outputs under $work/out/{base,head})"
   exit 1
 fi

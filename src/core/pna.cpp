@@ -15,6 +15,9 @@ PnaXlet::PnaXlet(const PnaEnvironment& environment) : env_(&environment) {
   if (env_->verify_cache == nullptr || env_->heartbeat_pool == nullptr) {
     throw std::invalid_argument("PnaXlet: null verify cache or heartbeat pool");
   }
+  if (env_->heartbeats == nullptr || env_->heartbeats->fire() != &beat) {
+    throw std::invalid_argument("PnaXlet: no heartbeat cadence firing beat()");
+  }
 }
 
 PnaXlet::~PnaXlet() { cancel_heartbeat(); }
@@ -57,7 +60,16 @@ obs::TraceContext PnaXlet::trace_emit(obs::TraceEventKind kind,
                              arg);
 }
 
-void PnaXlet::init_xlet(dtv::XletContext& context) { context_ = &context; }
+void PnaXlet::init_xlet(dtv::XletContext& context) {
+  if (&env_->heartbeats->simulation() != &context.simulation()) {
+    throw std::logic_error("PnaXlet: heartbeat cadence of another shard");
+  }
+  context_ = &context;
+}
+
+void PnaXlet::beat(void* agent) {
+  static_cast<PnaXlet*>(agent)->send_heartbeat();
+}
 
 void PnaXlet::start_xlet() {
   if (context_ == nullptr) {
@@ -119,9 +131,9 @@ void PnaXlet::freeze() {
 }
 
 void PnaXlet::cancel_heartbeat() {
-  if (heartbeat_ != sim::kInvalidTimer) {
-    context_->simulation().cancel_timer(heartbeat_);
-    heartbeat_ = sim::kInvalidTimer;
+  if (heartbeat_ != sim::Cadence::kNone) {
+    env_->heartbeats->cancel(heartbeat_);
+    heartbeat_ = sim::Cadence::kNone;
   }
 }
 
@@ -335,20 +347,19 @@ void PnaXlet::ensure_heartbeat(const ControlMessage& message) {
   }
   heartbeat_target_ = target;
   if (message.heartbeat_interval <= sim::SimTime::zero()) return;
-  if (heartbeat_ != sim::kInvalidTimer) {
-    if (message.heartbeat_interval == heartbeat_interval_) return;
+  if (heartbeat_ != sim::Cadence::kNone) {
+    if (message.heartbeat_interval == env_->heartbeats->period(heartbeat_)) {
+      return;
+    }
     // The Controller re-parameterized the reporting cadence: re-arm.
     cancel_heartbeat();
   }
-  heartbeat_interval_ = message.heartbeat_interval;
-
-  auto& simulation = context_->simulation();
   // Desynchronize the population: first beat at a random phase.
   const double phase = draw() * message.heartbeat_interval.seconds();
-  heartbeat_ = simulation.schedule_timer_at(
-      simulation.now() + sim::SimTime::from_seconds(phase),
-      [this] { send_heartbeat(); }, message.heartbeat_interval,
-      sim::EventPriority::kTimer);
+  heartbeat_ = env_->heartbeats->arm(
+      this,
+      context_->simulation().now() + sim::SimTime::from_seconds(phase),
+      message.heartbeat_interval);
 }
 
 void PnaXlet::send_heartbeat() {
@@ -611,7 +622,6 @@ bool PnaXlet::fault_crash() {
   joining_ = false;
   heartbeat_target_ = net::kInvalidNode;
   backend_node_ = net::kInvalidNode;
-  heartbeat_interval_ = {};
   last_handled_content_ = 0;
   pending_read_content_ = 0;
   // Middleware watchdog relaunch: the trigger application starts over and

@@ -12,6 +12,7 @@
 #include "fault/byzantine.hpp"
 #include "net/message_pool.hpp"
 #include "obs/metrics.hpp"
+#include "sim/cadence.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -65,6 +66,9 @@ struct PnaEnvironment {
   /// Shard-shared heartbeat recycling pool (required; see
   /// net::MessagePool).
   net::MessagePool<HeartbeatMessage>* heartbeat_pool = nullptr;
+  /// Shard-shared periodic heartbeats (required): one same-period cadence
+  /// on the shard's kernel, built with PnaXlet::beat as its fire function.
+  sim::Cadence* heartbeats = nullptr;
 
   // --- fault-injection recovery protocol (nullable: with no Recovery block
   // the agent speaks the zero-fault wire protocol, bit for bit) ---------------
@@ -143,6 +147,9 @@ class PnaXlet final : public dtv::Xlet,
   }
   [[nodiscard]] const Dve* dve() const { return dve_.get(); }
   [[nodiscard]] std::uint64_t pna_id() const;
+
+  /// The heartbeat cadence's fire function: `agent` is a PnaXlet.
+  static void beat(void* agent);
 
   // --- fault injection -------------------------------------------------------
 
@@ -246,6 +253,9 @@ class PnaXlet final : public dtv::Xlet,
     std::uint32_t replica = 0;   ///< replica slot the retry re-sends
   };
 
+  // The fields a heartbeat reads lead the object, right behind the three
+  // vtable pointers: a beat touches one or two of its cache lines.
+
   /// Deployment-wide environment, shared (not copied) population-wide: at
   /// 1M agents an embedded copy is ~100 MB of identical bytes.
   const PnaEnvironment* env_;
@@ -253,6 +263,24 @@ class PnaXlet final : public dtv::Xlet,
 
   std::unique_ptr<Dve> dve_;
   std::unique_ptr<TraceState> trace_;
+
+  /// Where heartbeats go: the Controller itself, or this agent's shard
+  /// aggregator when the control message configured an aggregation tier.
+  net::NodeId heartbeat_target_ = net::kInvalidNode;
+
+  bool started_ = false;
+  bool joining_ = false;
+  /// A paced beat is already scheduled for this agent's next phase slot;
+  /// further beats coalesce into it (the slot sends the *current* state).
+  bool pace_pending_ = false;
+  /// Frozen by fault_hang(): message handling and config reads are inert
+  /// until the watchdog kills and relaunches the Xlet.
+  bool hung_ = false;
+
+  /// This agent's arming in env_->heartbeats (its period is the interval).
+  sim::Cadence::Handle heartbeat_ = sim::Cadence::kNone;
+  net::NodeId backend_node_ = net::kInvalidNode;
+
   std::unique_ptr<PendingResult> pending_result_;
 
   /// Instance of an accepted wakeup whose image is still being read (valid
@@ -262,8 +290,6 @@ class PnaXlet final : public dtv::Xlet,
   std::uint64_t running_task_ = 0;
   /// The execution of the running task (0 = none).
   dtv::Receiver::ExecToken running_exec_ = 0;
-  sim::TimerId heartbeat_ = sim::kInvalidTimer;
-  sim::SimTime heartbeat_interval_;
   /// When the pending join's image read started (acquire latency).
   sim::SimTime join_started_at_;
   /// Content ids of the last configuration handled and of the read in
@@ -272,10 +298,6 @@ class PnaXlet final : public dtv::Xlet,
   std::uint64_t last_handled_content_ = 0;
   std::uint64_t pending_read_content_ = 0;
 
-  /// Where heartbeats go: the Controller itself, or this agent's shard
-  /// aggregator when the control message configured an aggregation tier.
-  net::NodeId heartbeat_target_ = net::kInvalidNode;
-  net::NodeId backend_node_ = net::kInvalidNode;
   /// Replica slot of the running task (echoed on results and aborts).
   std::uint32_t running_replica_ = 0;
   /// Generation guards invalidating in-flight retry/watchdog timers (the
@@ -285,15 +307,7 @@ class PnaXlet final : public dtv::Xlet,
   /// Draws taken so far: the ordinal that keys the next draw().
   std::uint32_t draws_ = 0;
 
-  bool started_ = false;
-  bool joining_ = false;
   bool task_running_ = false;
-  /// A paced beat is already scheduled for this agent's next phase slot;
-  /// further beats coalesce into it (the slot sends the *current* state).
-  bool pace_pending_ = false;
-  /// Frozen by fault_hang(): message handling and config reads are inert
-  /// until the watchdog kills and relaunches the Xlet.
-  bool hung_ = false;
 };
 
 }  // namespace oddci::core

@@ -365,7 +365,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
   }
   env.draw_seed = util::stream_seed(config_.seed, "pna.draws");
   shards_ = std::vector<Shard>(K);
-  for (Shard& shard : shards_) {
+  for (std::size_t s = 0; s < K; ++s) {
+    Shard& shard = shards_[s];
     shard.env = env;
     shard.env.counters = &shard.counters;
     shard.env.acquire_latency = &shard.acquire_latency;
@@ -379,8 +380,11 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
         std::make_unique<net::MessagePool<HeartbeatMessage>>(
             std::clamp<std::size_t>(config_.receivers / K / 128, 4096,
                                     1u << 14));
+    shard.heartbeats =
+        std::make_unique<sim::Cadence>(sharded_->shard(s), &PnaXlet::beat);
     shard.env.verify_cache = &shard.verify_cache;
     shard.env.heartbeat_pool = shard.heartbeat_pool.get();
+    shard.env.heartbeats = shard.heartbeats.get();
   }
 
   net::LinkSpec stb_link{config_.delta, config_.delta,

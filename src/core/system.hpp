@@ -373,10 +373,12 @@ class OddciSystem {
     /// PNA recovery parameters and counters (env.recovery points here
     /// when fault injection is enabled).
     PnaEnvironment::Recovery recovery;
-    /// The shard's agents verify each broadcast once through this cache
-    /// and send heartbeats from this pool.
+    /// The shard's agents verify each broadcast once through this cache,
+    /// send heartbeats from this pool and beat on this cadence (on the
+    /// shard's kernel).
     broadcast::VerifyCache verify_cache;
     std::unique_ptr<net::MessagePool<HeartbeatMessage>> heartbeat_pool;
+    std::unique_ptr<sim::Cadence> heartbeats;
     /// Flight-recorder ring (only with config_.obs.trace), id stream
     /// (s, K) so merged exports keep event ids disjoint.
     std::unique_ptr<obs::FlightRecorder> recorder;

@@ -36,8 +36,8 @@ NodeId Network::register_endpoint(Endpoint* endpoint, const LinkSpec& spec) {
   }
   const auto id = static_cast<NodeId>(nodes_.size());
   sim::Simulation& home = sim_of(register_shard_);
-  nodes_.push_back(Node{endpoint, home.now(), home.now(), intern_spec(spec)});
-  node_shards_.push_back(register_shard_);
+  nodes_.push_back(Node{endpoint, home.now(), home.now(), intern_spec(spec),
+                        register_shard_});
   return id;
 }
 
@@ -90,18 +90,14 @@ sim::SimTime Network::uplink_free_at(NodeId id) const {
 
 double Network::uplink_backlog_seconds(NodeId id) const {
   const Node& node = node_at(id);
-  const sim::SimTime now = sharded_ != nullptr
-                               ? sharded_->shard(node_shards_[id]).now()
-                               : simulation_.now();
+  const sim::SimTime now = sim_of(node.shard).now();
   const sim::SimTime backlog = node.uplink_busy_until - now;
   return backlog > sim::SimTime::zero() ? backlog.seconds() : 0.0;
 }
 
 double Network::downlink_backlog_seconds(NodeId id) const {
   const Node& node = node_at(id);
-  const sim::SimTime now = sharded_ != nullptr
-                               ? sharded_->shard(node_shards_[id]).now()
-                               : simulation_.now();
+  const sim::SimTime now = sim_of(node.shard).now();
   const sim::SimTime backlog = node.downlink_busy_until - now;
   return backlog > sim::SimTime::zero() ? backlog.seconds() : 0.0;
 }
@@ -175,9 +171,9 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
     throw std::invalid_argument("Network: null message");
   }
   Node& src = node_at(from);
-  node_at(to);  // validate destination id early
+  const std::uint32_t dst_shard = node_at(to).shard;
 
-  const std::uint32_t src_shard = node_shards_[from];
+  const std::uint32_t src_shard = src.shard;
   sim::Simulation& ssim = sim_of(src_shard);
 
   ShardCells& cells = cells_[src_shard];
@@ -224,15 +220,16 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
   const sim::SimTime arrival_at_edge =
       departed + src_spec.latency + action.extra_latency;
   if (action.duplicate) {
-    schedule_arrival(arrival_at_edge, from, to, message);
+    schedule_arrival(arrival_at_edge, from, to, src_shard, dst_shard,
+                     message);
   }
-  schedule_arrival(arrival_at_edge, from, to, std::move(message));
+  schedule_arrival(arrival_at_edge, from, to, src_shard, dst_shard,
+                   std::move(message));
 }
 
 void Network::schedule_arrival(sim::SimTime at, NodeId from, NodeId to,
-                               MessagePtr message) {
-  const std::uint32_t src_shard = node_shards_[from];
-  const std::uint32_t dst_shard = node_shards_[to];
+                               std::uint32_t src_shard,
+                               std::uint32_t dst_shard, MessagePtr message) {
   ++cells_[src_shard].arrivals_scheduled;
   if (sharded_ != nullptr && dst_shard != src_shard) {
     // Cross-shard hop: through the kernel mailbox, landing at the first

@@ -108,16 +108,13 @@ class Network {
   void set_register_shard(std::uint32_t shard);
 
   [[nodiscard]] std::uint32_t shard_of(NodeId id) const {
-    return node_shards_[id];
+    return nodes_[id].shard;
   }
 
   /// Pre-size the endpoint table. Building a million-receiver population
   /// registers endpoints one by one; without a hint the per-node state is
   /// copied O(log n) times as the vector regrows.
-  void reserve_endpoints(std::size_t capacity) {
-    nodes_.reserve(capacity);
-    node_shards_.reserve(capacity);
-  }
+  void reserve_endpoints(std::size_t capacity) { nodes_.reserve(capacity); }
 
   /// Register an endpoint. The pointer must outlive the Network or be
   /// detached with `unregister_endpoint`. Endpoints with equal specs share
@@ -182,12 +179,15 @@ class Network {
 
  private:
   /// 32 bytes per endpoint: the link spec is an index into `specs_`
-  /// (a population shares a handful of distinct specs).
+  /// (a population shares a handful of distinct specs), and the home shard
+  /// rides in the same line, so a send or an arrival loads one node per
+  /// endpoint.
   struct Node {
     Endpoint* endpoint = nullptr;  // nullptr while detached
     sim::SimTime uplink_busy_until;
     sim::SimTime downlink_busy_until;
     std::uint32_t spec = 0;
+    std::uint32_t shard = 0;
   };
   static_assert(sizeof(Node) <= 32, "Network::Node is per-receiver state");
 
@@ -214,12 +214,13 @@ class Network {
   /// Index of `spec` in `specs_`, appending it if no equal spec exists.
   std::uint32_t intern_spec(const LinkSpec& spec);
 
-  [[nodiscard]] sim::Simulation& sim_of(std::uint32_t shard) {
+  [[nodiscard]] sim::Simulation& sim_of(std::uint32_t shard) const {
     return sharded_ != nullptr ? sharded_->shard(shard) : simulation_;
   }
 
   /// Schedule the edge-arrival event: downlink serialization then delivery.
   void schedule_arrival(sim::SimTime at, NodeId from, NodeId to,
+                        std::uint32_t src_shard, std::uint32_t dst_shard,
                         MessagePtr message);
   /// Edge arrival, running on the destination shard.
   void arrive(NodeId from, NodeId to, std::uint32_t dst_shard,
@@ -228,7 +229,6 @@ class Network {
   sim::Simulation& simulation_;
   sim::ShardedSimulation* sharded_ = nullptr;
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> node_shards_;
   /// Distinct link specs, in first-registration order.
   std::vector<LinkSpec> specs_;
   std::uint32_t register_shard_ = 0;

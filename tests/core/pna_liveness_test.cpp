@@ -127,6 +127,7 @@ class PnaLiveness
   obs::LogHistogram acquire_latency{1e-3};
   broadcast::VerifyCache verify_cache;
   net::MessagePool<HeartbeatMessage> heartbeat_pool;
+  sim::Cadence heartbeats{sim, &PnaXlet::beat};
   PnaEnvironment::Recovery recovery;
   PnaEnvironment env;
   dtv::XletRegistry registry;
@@ -139,6 +140,7 @@ class PnaLiveness
     env.acquire_latency = &acquire_latency;
     env.verify_cache = &verify_cache;
     env.heartbeat_pool = &heartbeat_pool;
+    env.heartbeats = &heartbeats;
     env.task_poll_interval = sim::SimTime::from_seconds(20);
     env.draw_seed = 77;
     registry.register_factory("oddci-pna", [this](dtv::Receiver&) {

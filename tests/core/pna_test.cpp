@@ -107,6 +107,7 @@ struct PnaTest : ::testing::Test {
   obs::LogHistogram acquire_latency{1e-3};
   broadcast::VerifyCache verify_cache;
   net::MessagePool<HeartbeatMessage> heartbeat_pool;
+  sim::Cadence heartbeats{sim, &PnaXlet::beat};
   dtv::XletRegistry registry;
   std::unique_ptr<dtv::Receiver> receiver;
 
@@ -116,6 +117,7 @@ struct PnaTest : ::testing::Test {
     env.acquire_latency = &acquire_latency;
     env.verify_cache = &verify_cache;
     env.heartbeat_pool = &heartbeat_pool;
+    env.heartbeats = &heartbeats;
     env.trusted_key = kKey;
     env.task_poll_interval = sim::SimTime::from_seconds(5);
     env.draw_seed = 77;
@@ -372,6 +374,38 @@ TEST_F(PnaTest, PowerOffDestroysXlet) {
   sim.run_until(sim::SimTime::from_seconds(400));  // must not crash
 }
 
+TEST_F(PnaTest, FrozenOrDestroyedAgentsQueuedBeatNeverRuns) {
+  // The agent's next beat waits in the shard's cadence. A hang freezes the
+  // agent: that beat must not run until the watchdog relaunches it. A
+  // power-off destroys the Xlet: the beat must leave the cadence with it.
+  ControlMessage hello;
+  hello.type = ControlType::kReset;
+  hello.instance = kNoInstance;
+  stage_control(hello);
+  sim.run_until(sim::SimTime::from_seconds(100));
+  ASSERT_NE(pna(), nullptr);
+  ASSERT_EQ(heartbeats.armed(), 1u);
+  ASSERT_TRUE(pna()->fault_hang(sim::SimTime::from_seconds(100)));
+  EXPECT_EQ(heartbeats.armed(), 0u);
+  // A beat on the wire when the hang began has landed a second later.
+  sim.run_until(sim::SimTime::from_seconds(101));
+  const std::size_t before_hang = controller.heartbeats.size();
+  sim.run_until(sim::SimTime::from_seconds(199));  // three periods, hung
+  EXPECT_EQ(controller.heartbeats.size(), before_hang);
+  // The watchdog relaunches the agent at 200 s, and it beats again.
+  sim.run_until(sim::SimTime::from_seconds(300));
+  EXPECT_GT(controller.heartbeats.size(), before_hang);
+  ASSERT_EQ(heartbeats.armed(), 1u);
+
+  receiver->set_power_mode(dtv::PowerMode::kOff);
+  ASSERT_EQ(pna(), nullptr);
+  ASSERT_EQ(heartbeats.armed(), 0u);
+  sim.run_until(sim::SimTime::from_seconds(301));
+  const std::size_t at_power_off = controller.heartbeats.size();
+  sim.run_until(sim::SimTime::from_seconds(400));
+  EXPECT_EQ(controller.heartbeats.size(), at_power_off);
+}
+
 TEST_F(PnaTest, NullContentStoreRejected) {
   PnaEnvironment bad;
   bad.content_store = nullptr;
@@ -393,6 +427,16 @@ TEST_F(PnaTest, EnvironmentWithoutVerifyCacheOrPoolRejected) {
   EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
   bad = env;
   bad.heartbeat_pool = nullptr;
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
+}
+
+TEST_F(PnaTest, EnvironmentWithoutHeartbeatCadenceRejected) {
+  PnaEnvironment bad = env;
+  bad.heartbeats = nullptr;
+  EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
+  // A cadence that would hand its targets to another fire function.
+  sim::Cadence foreign{sim, [](void*) {}};
+  bad.heartbeats = &foreign;
   EXPECT_THROW(PnaXlet{bad}, std::invalid_argument);
 }
 

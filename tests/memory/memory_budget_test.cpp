@@ -137,13 +137,13 @@ namespace {
 
 static_assert(sizeof(dtv::Receiver) <= 200,
               "dtv::Receiver is per-receiver hot state: keep it small");
-static_assert(sizeof(PnaXlet) <= 160,
+static_assert(sizeof(PnaXlet) <= 152,
               "PnaXlet is per-receiver hot state: keep it small");
 
 constexpr std::size_t kReceivers = 10'000;
-/// Live heap bytes each idle receiver may add: 502 B measured, plus 5%
+/// Live heap bytes each idle receiver may add: 487 B measured, plus 5%
 /// (see DESIGN.md §5 for the breakdown).
-constexpr double kLiveBytesBudget = 527.0;
+constexpr double kLiveBytesBudget = 511.0;
 
 /// Heap a deployed, warmed-up population holds (and its high-water mark on
 /// the way there). The allocation count excludes the kernels' slab chunks,
@@ -240,9 +240,6 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
   const std::int64_t allocs0 = g_live_allocs.load();
   constexpr int kEach = 1000;
   for (int i = 0; i < kEach; ++i) {
-    // PnaXlet::on_control: the periodic heartbeat.
-    simulation.schedule_timer_in(delay, [agent] { (void)agent; },
-                                 sim::SimTime::from_seconds(30));
     // PnaXlet::schedule_guarded around a `[this]` body: the paced beat's
     // release and the task poll.
     simulation.schedule_timer_in(
@@ -258,9 +255,36 @@ TEST(MemoryBudget, PerReceiverTimerCapturesStayInline) {
       (void)ordinal;
     });
   }
-  // 3,000 timers fit the first chunk: not one heap block was added.
+  // 2,000 timers fit the first chunk: not one heap block was added.
   EXPECT_EQ(g_live_allocs.load(), allocs0);
-  EXPECT_EQ(simulation.timers().active_timers(), 3u * kEach);
+  EXPECT_EQ(simulation.timers().active_timers(), 2u * kEach);
+}
+
+TEST(MemoryBudget, HeartbeatsArmNoWheelTimer) {
+  // Every agent's periodic beat waits in its shard's heartbeat cadence,
+  // not on the timer wheel: after the deploy and the warmup, a population
+  // twice as large arms as many wheel timers, and the timer slab keeps its
+  // first chunk on every shard.
+  const auto warmed_up = [](std::size_t receivers, std::size_t& timers) {
+    SystemConfig config;
+    config.receivers = receivers;
+    config.seed = 20261016;
+    OddciSystem system(config);
+    system.controller().deploy_pna();
+    system.kernel().run_until(system.simulation().now() + config.warmup);
+    timers = armed_timers(system);
+    for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+      EXPECT_LE(system.kernel().shard(s).timer_chunks(), 1u) << "shard " << s;
+    }
+    EXPECT_GT(system.controller().stats().heartbeats_received, receivers);
+  };
+  std::size_t small = 0;
+  std::size_t large = 0;
+  warmed_up(kReceivers, small);
+  warmed_up(2 * kReceivers, large);
+  std::cout << "armed wheel timers: " << small << " at " << kReceivers
+            << " receivers, " << large << " at " << 2 * kReceivers << "\n";
+  EXPECT_EQ(large, small);
 }
 
 TEST(MemoryBudget, CarouselReadsArmNoKernelEvent) {
