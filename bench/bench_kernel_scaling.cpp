@@ -1,11 +1,11 @@
-// Kernel scaling benchmark for the pooled-event + timer-wheel kernel.
+// Kernel scaling benchmark for the pooled-event kernel.
 //
 // Two parts:
 //
-//  1. Kernel heartbeats — a synthetic heartbeat workload (N recurring
-//     timers with random phases plus a stream of one-shot cancellations,
-//     the shape the OddCI control plane produces) driven through
-//     `sim::Simulation` with wheel-backed timers: events/sec per
+//  1. Kernel heartbeats — a synthetic heartbeat workload (N agents beating
+//     from a `sim::Cadence` with random phases, each beat crossing the
+//     network as two chained kernel events, the shape the OddCI control
+//     plane produces) driven through `sim::Simulation`: events/sec per
 //     population, kernel cost only.
 //
 //  2. System sweep — full `OddciSystem::run_job` at 10k -> 1M receivers,
@@ -32,6 +32,7 @@
 
 #include "bench_metrics.hpp"
 #include "core/system.hpp"
+#include "sim/cadence.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "workload/job.hpp"
@@ -75,15 +76,15 @@ struct KernelPoint {
 };
 
 // Control-plane workload mirroring what `run_job` generates per heartbeat:
-// the periodic beat fires, the heartbeat message crosses the network in
-// two chained hops exactly as net::Network::send schedules them (an
-// edge-arrival event whose handler schedules the downlink-completion
+// each agent beats from the shard's heartbeat cadence (`sim::Cadence`, one
+// kernel event per due instant), and the heartbeat message crosses the
+// network in two chained hops exactly as net::Network::send schedules them
+// (an edge-arrival event whose handler schedules the downlink-completion
 // event; each closure captures {this, from, to, shared_ptr message} =
-// 32 bytes), and the beat re-arms a liveness watchdog that is cancelled
-// on the next beat (the dominant cancel source). `population` timers,
-// 30 s period, random phase, one simulated hour. Message construction is
-// deliberately hoisted out (a shared dummy payload) so the point measures
-// kernel cost, not workload cost. Useful events = beat + 2 hops.
+// 32 bytes). `population` agents, 30 s period, random phase, one simulated
+// hour. Message construction is deliberately hoisted out (a shared dummy
+// payload) so the point measures kernel cost, not workload cost. Useful
+// events = beat + 2 hops.
 constexpr std::int64_t kHourUs = 3'600'000'000;
 constexpr std::int64_t kPeriodUs = 30'000'000;
 constexpr std::int64_t kEdgeUs = 40'000;  // uplink + propagation to edge
@@ -94,43 +95,50 @@ struct Payload {
   std::uint64_t* sink = nullptr;
 };
 
+struct Fleet {
+  sim::Simulation* kernel = nullptr;
+  std::shared_ptr<Payload> message;
+};
+
+struct Agent {
+  const Fleet* fleet = nullptr;
+  std::uint32_t id = 0;
+};
+
+void beat(void* target) {
+  const auto& agent = *static_cast<const Agent*>(target);
+  void* const self = agent.fleet->kernel;
+  const std::uint32_t from = agent.id;
+  const std::uint32_t to = 0;
+  agent.fleet->kernel->schedule_in(
+      sim::SimTime::from_micros(kEdgeUs),
+      [self, from, to, message = agent.fleet->message] {
+        auto& k = *static_cast<sim::Simulation*>(self);
+        k.schedule_in(sim::SimTime::from_micros(kDownUs),
+                      [self, from, to, message] {
+                        *message->sink += message->wire_bits != 0;
+                      },
+                      sim::EventPriority::kDelivery);
+      },
+      sim::EventPriority::kDelivery);
+}
+
 KernelPoint kernel_heartbeats(std::size_t population) {
   KernelPoint point;
   point.population = population;
   util::Random rng(7);
   sim::Simulation kernel;
   std::uint64_t delivered = 0;
-  const auto message = std::make_shared<Payload>();
-  message->sink = &delivered;
-  std::vector<sim::TimerId> watchdog(population, sim::kInvalidTimer);
+  Fleet fleet{&kernel, std::make_shared<Payload>()};
+  fleet.message->sink = &delivered;
+  std::vector<Agent> agents(population);
+  sim::Cadence heartbeats(kernel, &beat);
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < population; ++i) {
+    agents[i] = Agent{&fleet, static_cast<std::uint32_t>(i)};
     const auto phase = sim::SimTime::from_micros(
         static_cast<std::int64_t>(rng.uniform(0.0, 1.0) * kPeriodUs));
-    kernel.schedule_timer_at(
-        phase,
-        [&kernel, &watchdog, message, i] {
-          void* const self = &kernel;
-          const auto from = static_cast<std::uint32_t>(i);
-          const std::uint32_t to = 0;
-          kernel.schedule_in(
-              sim::SimTime::from_micros(kEdgeUs),
-              [self, from, to, message] {
-                auto& k = *static_cast<sim::Simulation*>(self);
-                k.schedule_in(sim::SimTime::from_micros(kDownUs),
-                              [self, from, to, message] {
-                                *message->sink += message->wire_bits != 0;
-                              },
-                              sim::EventPriority::kDelivery);
-              },
-              sim::EventPriority::kDelivery);
-          if (watchdog[i] != sim::kInvalidTimer) {
-            kernel.cancel_timer(watchdog[i]);
-          }
-          watchdog[i] = kernel.schedule_timer_in(
-              sim::SimTime::from_micros(2 * kPeriodUs), [] {});
-        },
-        sim::SimTime::from_micros(kPeriodUs));
+    heartbeats.arm(&agents[i], phase, sim::SimTime::from_micros(kPeriodUs));
   }
   kernel.run_until(sim::SimTime::from_micros(kHourUs));
   point.events_per_sec =
@@ -297,7 +305,7 @@ int main(int argc, char** argv) {
   const std::size_t shard_sweep_pop = system_pops.back();
   if (deep && !quick) system_pops.push_back(10'000'000);
 
-  std::cout << "== Kernel: pooled events + wheel timers"
+  std::cout << "== Kernel: pooled events + heartbeat cadence"
             << " — 1 simulated hour of heartbeats ==\n";
   std::cout << "population | ev/s\n";
   std::vector<KernelPoint> kernel_points;

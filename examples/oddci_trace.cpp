@@ -362,8 +362,7 @@ int cmd_profile(const std::string& path, const char* trace_path) {
 
   if (!p.per_shard.empty()) {
     Table shard_table({"shard", "execute (s)", "calls", "barrier (s)",
-                       "executed", "pending", "event chunks",
-                       "timer chunks"});
+                       "executed", "pending", "event chunks"});
     std::size_t slowest = 0;
     for (std::size_t s = 0; s < p.per_shard.size(); ++s) {
       const auto& sh = p.per_shard[s];
@@ -376,8 +375,7 @@ int cmd_profile(const std::string& path, const char* trace_path) {
            Table::fmt(sh.barrier_seconds, 3),
            Table::fmt_int(static_cast<long long>(sh.events_executed)),
            Table::fmt_int(static_cast<long long>(sh.events_pending)),
-           Table::fmt_int(static_cast<long long>(sh.event_chunks)),
-           Table::fmt_int(static_cast<long long>(sh.timer_chunks))});
+           Table::fmt_int(static_cast<long long>(sh.event_chunks))});
     }
     std::cout << "\n";
     shard_table.print(std::cout);

@@ -82,25 +82,19 @@ void DiurnalAudience::plan_day(std::size_t index, sim::SimTime midnight) {
     const sim::SimTime end = begin + sim::SimTime::from_hours(hours);
     if (end <= simulation_.now()) return;  // already over
     if (begin > simulation_.now()) {
-      simulation_.schedule_timer_at(begin,
-                                    [this, index, active] {
-                                      auto guard = active.lock();
-                                      if (!guard || !*guard) return;
-                                      set_mode(index, dtv::PowerMode::kInUse);
-                                    },
-                                    sim::SimTime::zero(),
-                                    sim::EventPriority::kDefault);
+      simulation_.schedule_at(begin, [this, index, active] {
+        auto guard = active.lock();
+        if (!guard || !*guard) return;
+        set_mode(index, dtv::PowerMode::kInUse);
+      });
     } else {
       set_mode(index, dtv::PowerMode::kInUse);
     }
-    simulation_.schedule_timer_at(end,
-                                  [this, index, active] {
-                                    auto guard = active.lock();
-                                    if (!guard || !*guard) return;
-                                    set_mode(index, idle_mode());
-                                  },
-                                  sim::SimTime::zero(),
-                                  sim::EventPriority::kDefault);
+    simulation_.schedule_at(end, [this, index, active] {
+      auto guard = active.lock();
+      if (!guard || !*guard) return;
+      set_mode(index, idle_mode());
+    });
   };
 
   // Evening prime-time session.
@@ -126,14 +120,11 @@ void DiurnalAudience::plan_day(std::size_t index, sim::SimTime midnight) {
   // Re-plan at the receiver's next midnight.
   const sim::SimTime next_midnight = midnight + sim::SimTime::from_hours(24);
   std::weak_ptr<bool> weak = active_;
-  simulation_.schedule_timer_at(next_midnight,
-                                [this, index, next_midnight, weak] {
-                                  auto guard = weak.lock();
-                                  if (!guard || !*guard) return;
-                                  plan_day(index, next_midnight);
-                                },
-                                sim::SimTime::zero(),
-                                sim::EventPriority::kDefault);
+  simulation_.schedule_at(next_midnight, [this, index, next_midnight, weak] {
+    auto guard = weak.lock();
+    if (!guard || !*guard) return;
+    plan_day(index, next_midnight);
+  });
 }
 
 std::size_t DiurnalAudience::in_use_count() const {
@@ -165,7 +156,7 @@ ChurnProcess::ChurnProcess(sim::Simulation& simulation,
                            std::uint64_t seed, ChurnOptions options)
     : simulation_(simulation),
       receivers_(std::move(receivers)),
-      dwells_(receivers_.size(), sim::kInvalidTimer),
+      dwells_(receivers_.size(), sim::kInvalidEvent),
       seed_(seed),
       options_(options) {
   options_.validate();
@@ -199,9 +190,9 @@ void ChurnProcess::start() {
 }
 
 void ChurnProcess::stop() {
-  for (sim::TimerId& dwell : dwells_) {
-    if (dwell != sim::kInvalidTimer) simulation_.cancel_timer(dwell);
-    dwell = sim::kInvalidTimer;
+  for (sim::EventId& dwell : dwells_) {
+    if (dwell != sim::kInvalidEvent) simulation_.cancel(dwell);
+    dwell = sim::kInvalidEvent;
   }
 }
 
@@ -210,13 +201,10 @@ void ChurnProcess::schedule_toggle(std::uint32_t index,
   const double mean = receivers_[index]->powered() ? options_.mean_on_seconds
                                                    : options_.mean_off_seconds;
   const double dwell = -mean * std::log(1.0 - draw(index, ordinal, kDwell));
-  // Dwell expiries ride the timer wheel: a million independent arrival
-  // processes cost O(1) each instead of O(log n) heap churn. The 16-B
-  // capture stays inline in the timer.
-  dwells_[index] = simulation_.schedule_timer_in(
+  // The 16-B capture stays inline in the event slot.
+  dwells_[index] = simulation_.schedule_in(
       sim::SimTime::from_seconds(dwell),
-      [this, index, ordinal] { toggle(index, ordinal + 1); },
-      sim::SimTime::zero(), sim::EventPriority::kDefault);
+      [this, index, ordinal] { toggle(index, ordinal + 1); });
 }
 
 void ChurnProcess::toggle(std::uint32_t index, std::uint32_t ordinal) {

@@ -124,8 +124,8 @@ class ChurnProcess {
 
   sim::Simulation& simulation_;
   std::vector<dtv::Receiver*> receivers_;
-  /// Each receiver's armed dwell (kInvalidTimer: none), cancelled by stop().
-  std::vector<sim::TimerId> dwells_;
+  /// Each receiver's armed dwell (kInvalidEvent: none), cancelled by stop().
+  std::vector<sim::EventId> dwells_;
   std::uint64_t seed_;
   ChurnOptions options_;
   Stats stats_;

@@ -33,12 +33,11 @@ void PnaXlet::set_ctx(obs::TraceContext TraceState::*field,
 
 template <typename F>
 void PnaXlet::schedule_guarded(sim::SimTime delay, F fn) {
-  context_->simulation().schedule_timer_in(
+  context_->simulation().schedule_in(
       delay,
       [context = context_, gen = context_->generation(), fn = std::move(fn)] {
         if (context->generation() == gen) fn();
-      },
-      sim::SimTime::zero(), sim::EventPriority::kDefault);
+      });
 }
 
 std::uint64_t PnaXlet::pna_id() const {
@@ -471,8 +470,6 @@ void PnaXlet::arm_result_retry() {
 }
 
 void PnaXlet::schedule_task_poll() {
-  // One-shot wheel timer: poll re-arm is O(1) regardless of how many PNAs
-  // are polling, instead of churning the main event heap.
   schedule_guarded(env_->task_poll_interval, [this] {
     if (started_) request_task();
   });

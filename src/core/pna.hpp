@@ -208,7 +208,7 @@ class PnaXlet final : public dtv::Xlet,
                    InstanceId instance, std::uint64_t digest,
                    std::uint32_t replica, obs::TraceContext parent);
 
-  /// One-shot wheel timer running `fn` only while the generation holds.
+  /// One-shot kernel event running `fn` only while the generation holds.
   template <typename F>
   void schedule_guarded(sim::SimTime delay, F fn);
   /// Schedule the next bounded-backoff retry of pending_result_.
@@ -301,7 +301,8 @@ class PnaXlet final : public dtv::Xlet,
   /// Replica slot of the running task (echoed on results and aborts).
   std::uint32_t running_replica_ = 0;
   /// Generation guards invalidating in-flight retry/watchdog timers (the
-  /// wheel has no cancel; a stale firing sees a bumped generation).
+  /// agent keeps no event id to cancel; a stale firing sees a bumped
+  /// generation and does nothing).
   std::uint32_t result_gen_ = 0;
   std::uint32_t request_gen_ = 0;
   /// Draws taken so far: the ordinal that keys the next draw().

@@ -71,7 +71,6 @@ ProfileSnapshot take_profile(const KernelProfiler& profiler,
     s.events_cancelled = shard.events_cancelled();
     s.events_pending = shard.pending_events();
     s.event_chunks = shard.event_chunks();
-    s.timer_chunks = shard.timer_chunks();
   }
   return out;
 }
@@ -137,8 +136,6 @@ std::string to_profile_json(const ProfileSnapshot& snapshot) {
     json::append_u64(out, s.events_pending);
     out += ",\"event_chunks\":";
     json::append_u64(out, s.event_chunks);
-    out += ",\"timer_chunks\":";
-    json::append_u64(out, s.timer_chunks);
     out += '}';
   }
   out += "]}";
@@ -187,12 +184,10 @@ ProfileSnapshot profile_from_json(std::string_view text) {
     s.events_scheduled = json::member(obj, "events_scheduled").as_u64();
     s.events_cancelled = json::member(obj, "events_cancelled").as_u64();
     s.events_pending = json::member(obj, "events_pending").as_u64();
-    // Optional: profiles written before the slab chunk counts lack them.
+    // Optional: profiles written before the slab chunk count lack it.
+    // Older profiles also carry a timer slab's count, which is ignored.
     if (const json::Value* chunks = json::find(obj, "event_chunks")) {
       s.event_chunks = chunks->as_u64();
-    }
-    if (const json::Value* chunks = json::find(obj, "timer_chunks")) {
-      s.timer_chunks = chunks->as_u64();
     }
     out.per_shard.push_back(std::move(s));
   }

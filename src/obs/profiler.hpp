@@ -212,10 +212,9 @@ struct ProfileShard {
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
   std::uint64_t events_pending = 0;
-  /// Event and timer slab chunks (4,096 slots each) the shard ended with:
-  /// the high-water marks of its pending events and armed timers.
+  /// Event slab chunks (4,096 slots each) the shard ended with: the
+  /// high-water mark of its pending events.
   std::uint64_t event_chunks = 0;
-  std::uint64_t timer_chunks = 0;
   bool operator==(const ProfileShard&) const = default;
 };
 

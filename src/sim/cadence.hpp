@@ -9,11 +9,11 @@
 
 /// Same-period timer set: the heartbeat cadence of one shard's agents.
 ///
-/// The hierarchical wheel (timer_wheel.hpp) is built for arbitrary
-/// deadlines. A stream of timers that share one period needs none of its
-/// machinery: a beat fired at t and re-queued at t + period sorts after
-/// every beat already queued for that period, so a FIFO keeps the stream
-/// in deadline order. The cadence holds
+/// A kernel event per beat would keep one heap entry and one 64-B event
+/// slot per agent pending at all times. A stream of timers that share one
+/// period needs no heap: a beat fired at t and re-queued at t + period
+/// sorts after every beat already queued for that period, so a FIFO keeps
+/// the stream in deadline order. The cadence holds
 ///
 ///   - one FIFO per distinct period, of 16-byte (deadline, slot,
 ///     generation) entries;

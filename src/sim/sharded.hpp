@@ -15,8 +15,8 @@
 /// Sharded parallel event kernel.
 ///
 /// The receiver population is partitioned into K shards, each owning a
-/// full single-threaded `Simulation` (slab event store, timer wheel, its
-/// own clock). Shards advance in parallel worker threads under a
+/// full single-threaded `Simulation` (slab event store, its own
+/// clock). Shards advance in parallel worker threads under a
 /// *conservative time-window barrier*: within a window [w, w+W) every
 /// shard executes only its own events; anything that crosses shards is
 /// appended to an inter-shard mailbox and drained by the coordinator at

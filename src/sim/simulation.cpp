@@ -45,10 +45,6 @@ std::string SimTime::to_string() const {
   return std::to_string(millis()) + " ms";
 }
 
-Simulation::Simulation() : wheel_(std::make_unique<TimerWheel>(*this)) {}
-
-Simulation::~Simulation() = default;
-
 EventId Simulation::schedule_at(SimTime t, Callback cb,
                                 EventPriority priority) {
   if (t < now_) {
@@ -178,31 +174,38 @@ SimTime PeriodicTask::positive(SimTime period) {
   return period;
 }
 
-PeriodicTask::PeriodicTask(PeriodicTask&& other) noexcept
-    : simulation_(std::exchange(other.simulation_, nullptr)),
-      id_(std::exchange(other.id_, kInvalidTimer)) {}
+void PeriodicTask::arm(std::shared_ptr<State> state) {
+  State& s = *state;
+  if (!s.on_tick) {
+    throw std::invalid_argument("PeriodicTask: empty callback");
+  }
+  s.pending = s.simulation.schedule_at(
+      s.deadline,
+      [state = std::move(state)]() mutable {
+        state->on_tick();
+        if (state->cancelled) return;  // the last owner is this tick
+        state->deadline += state->period;
+        arm(std::move(state));
+      },
+      EventPriority::kTimer);
+}
 
 PeriodicTask& PeriodicTask::operator=(PeriodicTask&& other) noexcept {
   if (this != &other) {
     cancel();
-    simulation_ = std::exchange(other.simulation_, nullptr);
-    id_ = std::exchange(other.id_, kInvalidTimer);
+    state_ = std::move(other.state_);
   }
   return *this;
 }
 
-PeriodicTask::~PeriodicTask() { cancel(); }
-
 void PeriodicTask::cancel() {
-  if (simulation_ != nullptr && id_ != kInvalidTimer) {
-    simulation_->cancel_timer(id_);
-    id_ = kInvalidTimer;
-  }
-}
-
-bool PeriodicTask::active() const {
-  return simulation_ != nullptr && id_ != kInvalidTimer &&
-         simulation_->timer_active(id_);
+  if (state_ == nullptr) return;
+  state_->cancelled = true;
+  // Inside its own tick the pending id names the running event, which the
+  // kernel has already released: the cancel is a no-op and the tick ends
+  // the chain.
+  state_->simulation.cancel(state_->pending);
+  state_.reset();
 }
 
 }  // namespace oddci::sim

@@ -8,21 +8,22 @@
 #include "sim/event.hpp"
 #include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
 
 /// Deterministic discrete-event simulation kernel.
 ///
 /// Events are `(time, priority, sequence)`-ordered: ties at equal time break
 /// first on explicit priority (lower runs first), then on scheduling order,
-/// so a fixed seed replays the exact same trajectory.
+/// so a fixed seed replays the exact same trajectory. Every event follows
+/// this one contract, timers and `PeriodicTask` ticks included; only work
+/// that a component batches behind one event of its own (a heartbeat
+/// cadence serve, a broadcast audience's queues) orders itself inside it.
 ///
 /// Engineered for million-node populations: callbacks live in a chunked
 /// pool of 64-byte `EventFn` slots (inline storage, no heap allocation for
 /// common captures, growth without copies), the heap holds 24-byte entries,
-/// `cancel()` is an O(1) generation check with lazy heap deletion, and
-/// recurring work (heartbeats, monitor loops, churn arrivals) goes through
-/// a hierarchical timer wheel instead of churning the heap. See
-/// timer_wheel.hpp for the wheel's ordering caveat.
+/// and `cancel()` is an O(1) generation check with lazy heap deletion. The
+/// one timer stream that grows with the population, the heartbeats, waits
+/// in a per-shard `Cadence` (cadence.hpp) behind one event.
 namespace oddci::obs {
 class KernelProfiler;
 }  // namespace oddci::obs
@@ -33,8 +34,7 @@ class Simulation {
  public:
   using Callback = EventFn;
 
-  Simulation();
-  ~Simulation();
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -50,34 +50,18 @@ class Simulation {
   EventId schedule_in(SimTime delay, Callback cb,
                       EventPriority priority = EventPriority::kDefault);
 
-  /// Cancel a pending event. O(1). Returns false if it already ran, was
-  /// already cancelled, or never existed.
-  bool cancel(EventId id);
+  /// schedule_in at EventPriority::kTimer. The kernel's timer probe
+  /// (`sim.timer_event_ns`, bench/oddci_bench/probes.cpp) measures the
+  /// kernel under this name, so it stays; components pass their priority
+  /// to schedule_at/schedule_in instead.
+  EventId schedule_timer_in(SimTime delay, Callback cb) {
+    return schedule_in(delay, std::move(cb), EventPriority::kTimer);
+  }
 
-  /// One-shot or periodic timer via the hierarchical wheel: O(1) insert
-  /// and re-arm regardless of population size. Use for delays of seconds
-  /// and beyond or for recurring work; exact-time deliveries on the hot
-  /// path should stay on schedule_at/schedule_in. `fn` is built in place
-  /// in the timer (TimerFn: up to 24 bytes of capture stay inline).
-  template <typename F>
-  TimerId schedule_timer_at(SimTime deadline, F&& fn,
-                            SimTime period = SimTime::zero(),
-                            EventPriority priority = EventPriority::kTimer) {
-    return wheel_->schedule_at(deadline, std::forward<F>(fn), period,
-                               priority);
-  }
-  template <typename F>
-  TimerId schedule_timer_in(SimTime delay, F&& fn,
-                            SimTime period = SimTime::zero(),
-                            EventPriority priority = EventPriority::kTimer) {
-    return wheel_->schedule_in(delay, std::forward<F>(fn), period,
-                               priority);
-  }
-  bool cancel_timer(TimerId id) { return wheel_->cancel(id); }
-  [[nodiscard]] bool timer_active(TimerId id) const {
-    return wheel_->active(id);
-  }
-  [[nodiscard]] TimerWheel& timers() { return *wheel_; }
+  /// Cancel a pending event. O(1). Returns false if it already ran, was
+  /// already cancelled, or never existed. The heap entry stays behind as a
+  /// tombstone until its time surfaces (24 B; see DESIGN.md §6).
+  bool cancel(EventId id);
 
   /// Run until the event queue drains or stop() is called.
   void run();
@@ -94,9 +78,7 @@ class Simulation {
   void run_window(SimTime end);
 
   /// Time of the earliest pending event (tombstones skimmed), or
-  /// SimTime::max() when the heap is empty. Armed wheel timers are covered
-  /// by their cascade event, so this is a safe lower bound on the next
-  /// thing this kernel will do.
+  /// SimTime::max() when the heap is empty.
   [[nodiscard]] SimTime next_event_time();
 
   /// Execute the single next event. Returns false if the queue is empty.
@@ -106,8 +88,7 @@ class Simulation {
   /// event completes.
   void stop() { stopping_ = true; }
 
-  /// No pending heap events. Armed wheel timers keep the kernel non-empty
-  /// through their cascade event.
+  /// No pending events.
   [[nodiscard]] bool empty() const { return live_events_ == 0; }
   [[nodiscard]] std::size_t pending_events() const { return live_events_; }
 
@@ -118,13 +99,11 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_cancelled() const {
     return events_cancelled_;
   }
-  /// Heap blocks holding event slots and timer slots (SlotPool chunks of
-  /// 4,096): the kernel's only allocations that grow with the population.
-  /// Neither is handed back, so each reads the high-water mark.
+  /// Heap blocks holding event slots (SlotPool chunks of 4,096): with the
+  /// heap's buffer, the kernel's only allocations that grow with the
+  /// pending events. Chunks are not handed back, so this reads the
+  /// high-water mark.
   [[nodiscard]] std::size_t event_chunks() const { return slots_.chunks(); }
-  [[nodiscard]] std::size_t timer_chunks() const {
-    return wheel_->slab_chunks();
-  }
 
   /// Attach a wall-clock profiler: run()/run_until()/run_window() bodies
   /// are attributed to `shard`'s execute phase (two steady_clock reads per
@@ -136,8 +115,6 @@ class Simulation {
   }
 
  private:
-  friend class TimerWheel;
-
   /// Pooled callback slot: the 64-byte callback alone. Its generation (odd
   /// while pending) lives in the pool's dense side array, so skimming a
   /// tombstone reads 4 bytes, not the slot.
@@ -177,10 +154,6 @@ class Simulation {
   /// Pop the (live) top entry, move its callback out, and free the slot.
   EventFn take_top(Entry& out);
 
-  /// Cancel the pending event in `slot` (a promoted wheel timer keeps only
-  /// the slot of its heap event, which is pending by construction).
-  void cancel_slot(std::uint32_t slot) { cancel(slots_.id(slot)); }
-
   SimTime now_;
   bool stopping_ = false;
   obs::KernelProfiler* profiler_ = nullptr;
@@ -192,44 +165,61 @@ class Simulation {
 
   std::vector<Entry> heap_;
   SlotPool<EventSlot> slots_;
-
-  std::unique_ptr<TimerWheel> wheel_;
 };
 
-/// A repeating timer with a fixed period, implemented as an owning RAII
-/// handle over a wheel timer. Destruction or cancel() stops future ticks;
-/// moves transfer ownership, so cancelling a moved-from handle is a no-op
-/// and never disturbs the live timer.
+/// A repeating timer with a fixed period: an owning RAII handle over one
+/// kernel event at EventPriority::kTimer that re-arms itself after each
+/// tick, at `deadline += period` (exact arithmetic). Destruction or
+/// cancel() stops future ticks; moves transfer ownership, so cancelling a
+/// moved-from handle is a no-op and never disturbs the live timer.
+///
+/// The callback and the deadline live in a block shared by the handle and
+/// the pending tick. A running tick holds the block, so its callback may
+/// cancel, move-assign over or destroy its own handle: the tick then finds
+/// the block cancelled, does not re-arm, and frees it on return.
 class PeriodicTask {
  public:
   PeriodicTask() = default;
 
   /// Starts ticking at absolute time `start` and then every `period`.
-  /// The callback runs with EventPriority::kTimer and is built in place in
-  /// the wheel timer.
   template <typename F>
   PeriodicTask(Simulation& simulation, SimTime start, SimTime period,
                F&& on_tick)
-      : simulation_(&simulation),
-        id_(simulation.schedule_timer_at(start, std::forward<F>(on_tick),
-                                         positive(period),
-                                         EventPriority::kTimer)) {}
+      : state_(std::make_shared<State>(simulation, start, positive(period),
+                                       std::forward<F>(on_tick))) {
+    arm(state_);
+  }
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
-  PeriodicTask(PeriodicTask&& other) noexcept;
+  PeriodicTask(PeriodicTask&& other) noexcept = default;
   PeriodicTask& operator=(PeriodicTask&& other) noexcept;
-  ~PeriodicTask();
+  ~PeriodicTask() { cancel(); }
 
   void cancel();
-  [[nodiscard]] bool active() const;
+  /// Until cancel() (also while its own tick runs).
+  [[nodiscard]] bool active() const { return state_ != nullptr; }
 
  private:
+  struct State {
+    State(Simulation& sim, SimTime start, SimTime every, EventFn fn)
+        : simulation(sim), deadline(start), period(every),
+          on_tick(std::move(fn)) {}
+
+    Simulation& simulation;
+    SimTime deadline;
+    SimTime period;
+    EventFn on_tick;
+    EventId pending = kInvalidEvent;  ///< the next tick's event
+    bool cancelled = false;
+  };
+
   /// `period`, or std::invalid_argument unless it is positive.
   static SimTime positive(SimTime period);
+  /// Schedule the tick at `state->deadline`.
+  static void arm(std::shared_ptr<State> state);
 
-  Simulation* simulation_ = nullptr;
-  TimerId id_ = kInvalidTimer;
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace oddci::sim

@@ -6,8 +6,7 @@
 #include <utility>
 #include <vector>
 
-/// Chunked slot pool: the storage behind the kernel's event slab and the
-/// timer wheel.
+/// Chunked slot pool: the storage behind the kernel's event slab.
 ///
 /// Elements live in fixed chunks of `kChunkSlots` slots. Growth allocates
 /// one more chunk; it never copies, never doubles and never moves a live

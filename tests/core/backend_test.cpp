@@ -242,12 +242,11 @@ TEST_F(BackendTest, RetryCapFailsTaskAndReportsJobFailure) {
   // A PNA that takes every assignment and never completes any: each task
   // times out, re-queues twice, then fails — and the job fails with it.
   FakePna sink(sim, net);
-  sim.schedule_timer_at(
-      sim::SimTime::from_seconds(1),
+  sim::PeriodicTask requests(
+      sim, sim::SimTime::from_seconds(1), sim::SimTime::from_seconds(10),
       [&] {
         for (int i = 0; i < 4; ++i) sink.request(backend.node_id(), 1);
-      },
-      sim::SimTime::from_seconds(10));
+      });
   sim.run_until(sim::SimTime::from_seconds(600));
 
   EXPECT_TRUE(complete);  // on_complete fires on failure too...

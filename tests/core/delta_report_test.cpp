@@ -334,10 +334,8 @@ TEST_F(DeltaAggregatorTest, RestartAfterCrashLeadsWithAResync) {
                           });
   sim.run_until(sim::SimTime::from_seconds(12));
   const std::size_t before = controller.frames.size();
-  sim.schedule_timer_in(sim::SimTime::from_seconds(1), [&] { agg.crash(); },
-                        sim::SimTime::zero(), sim::EventPriority::kDefault);
-  sim.schedule_timer_in(sim::SimTime::from_seconds(5), [&] { agg.restart(); },
-                        sim::SimTime::zero(), sim::EventPriority::kDefault);
+  sim.schedule_in(sim::SimTime::from_seconds(1), [&] { agg.crash(); });
+  sim.schedule_in(sim::SimTime::from_seconds(5), [&] { agg.restart(); });
   sim.run_until(sim::SimTime::from_seconds(60));
   beats.cancel();
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "export_diff.hpp"
 #include "obs/export.hpp"
 #include "obs/trace_export.hpp"
 #include "workload/job.hpp"
@@ -125,8 +126,10 @@ TEST_P(ByzantineReplay, MatrixReplaysByteIdenticallyAndDefenseHolds) {
 
   // (a) Determinism: the whole verified trajectory per (seed, K).
   EXPECT_EQ(first.final_now_us, second.final_now_us);
-  EXPECT_EQ(first.metrics_json, second.metrics_json);
-  EXPECT_EQ(first.chrome_trace, second.chrome_trace);
+  EXPECT_TRUE(
+      test_support::same_export(first.metrics_json, second.metrics_json));
+  EXPECT_TRUE(
+      test_support::same_export(first.chrome_trace, second.chrome_trace));
   EXPECT_EQ(first, second);
 
   // (b) Defense: the job finishes, no forged result survives a quorum,

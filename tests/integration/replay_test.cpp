@@ -1,8 +1,8 @@
 // Determinism-at-scale: the same seeded scenario, run twice in the same
 // process, must produce bit-identical trajectories. This is the acceptance
-// gate for the pooled-event kernel and the timer wheel — any hidden
-// dependence on heap-allocation order, slot recycling, or wheel cascade
-// timing shows up here as a divergent counter.
+// gate for the pooled-event kernel and the heartbeat cadence — any hidden
+// dependence on heap-allocation order or slot recycling shows up here as a
+// divergent counter.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "export_diff.hpp"
 #include "obs/export.hpp"
 #include "obs/trace_export.hpp"
 #include "workload/job.hpp"
@@ -153,8 +154,10 @@ TEST(Replay, SeededFaultMatrixExportsAreByteIdentical) {
   const Export second = run_matrix();
 
   EXPECT_EQ(first.events_executed, second.events_executed);
-  EXPECT_EQ(first.metrics_json, second.metrics_json);
-  EXPECT_EQ(first.chrome_trace, second.chrome_trace);
+  EXPECT_TRUE(
+      test_support::same_export(first.metrics_json, second.metrics_json));
+  EXPECT_TRUE(
+      test_support::same_export(first.chrome_trace, second.chrome_trace));
 
   // Zero lost, zero double-counted, despite the whole matrix firing.
   EXPECT_TRUE(first.completed);

@@ -94,7 +94,7 @@ TEST(ProfileSnapshot, JsonRoundTripIsExact) {
   snapshot.per_shard[0].events_cancelled = 2;
   snapshot.per_shard[0].events_pending = 5;
   snapshot.per_shard[0].event_chunks = 1;
-  snapshot.per_shard[1].timer_chunks = 25;
+  snapshot.per_shard[1].event_chunks = 25;
 
   const std::string json = to_profile_json(snapshot);
   EXPECT_NE(json.find(kProfileSchema), std::string::npos);
@@ -105,16 +105,31 @@ TEST(ProfileSnapshot, JsonRoundTripIsExact) {
 }
 
 TEST(ProfileSnapshot, ProfilesWithoutSlabChunksStillLoad) {
-  // Profiles written before the per-shard slab chunk counts read them as
+  // Profiles written before the per-shard slab chunk count read it as
   // zero.
   ProfileSnapshot snapshot;
   snapshot.per_shard.resize(1);
   snapshot.per_shard[0].events_executed = 9;
   std::string json = to_profile_json(snapshot);
-  const std::string chunks = R"(,"event_chunks":0,"timer_chunks":0)";
+  const std::string chunks = R"(,"event_chunks":0)";
   const std::size_t at = json.find(chunks);
   ASSERT_NE(at, std::string::npos);
   json.erase(at, chunks.size());
+  EXPECT_EQ(profile_from_json(json), snapshot);
+}
+
+TEST(ProfileSnapshot, ProfilesWithRetiredFieldsStillLoad) {
+  // Profiles written while the kernel had a timer slab carry that slab's
+  // chunk count beside the event slab's; the reader skips a per-shard
+  // field it does not know.
+  ProfileSnapshot snapshot;
+  snapshot.per_shard.resize(1);
+  snapshot.per_shard[0].event_chunks = 3;
+  std::string json = to_profile_json(snapshot);
+  const std::string chunks = R"(,"event_chunks":3)";
+  const std::size_t at = json.find(chunks);
+  ASSERT_NE(at, std::string::npos);
+  json.insert(at + chunks.size(), R"(,"retired_chunks":25)");
   EXPECT_EQ(profile_from_json(json), snapshot);
 }
 

@@ -85,9 +85,9 @@ TEST(Sampler, ProbesMustRegisterBeforeStart) {
 }
 
 // A tick runs at the start of its instant at every shard count: before a
-// wheel timer armed after start() and before a default-priority event due
-// at the same time, as a global task at a window boundary does under
-// several shards. So one shard and two read the same series.
+// timer armed after start() and before a default-priority event due at the
+// same time, as a global task at a window boundary does under several
+// shards. So one shard and two read the same series.
 TEST(Sampler, TickSeesTheSameInstantAtEveryShardCount) {
   const auto series_at = [](std::size_t shards) {
     sim::ShardedSimulation::Options kopts;
@@ -101,8 +101,8 @@ TEST(Sampler, TickSeesTheSameInstantAtEveryShardCount) {
     sampler.add_gauge_series("level", [&level] { return level; });
     sampler.start();
     sim::Simulation& control = kernel.shard(0);
-    control.schedule_timer_at(sim::SimTime::from_seconds(10),
-                              [&level] { level = 5.0; });
+    control.schedule_at(sim::SimTime::from_seconds(10),
+                        [&level] { level = 5.0; }, sim::EventPriority::kTimer);
     control.schedule_at(sim::SimTime::from_seconds(20),
                         [&level] { level = 7.0; });
     kernel.run_until(sim::SimTime::from_seconds(35));

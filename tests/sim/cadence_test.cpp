@@ -1,5 +1,5 @@
 // Property tests for the same-period heartbeat cadence, checked against the
-// naive reference scheduler the timer wheel's tests use. The cadence fires
+// naive reference scheduler the kernel's timer tests use. The cadence fires
 // each beat at its exact microsecond; beats that share an instant are
 // compared as per-instant multisets, and the order the cadence documents
 // for them is checked on its own.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -18,6 +20,19 @@ TEST(PeriodicTask, TicksAtFixedPeriod) {
   ASSERT_EQ(ticks.size(), 5u);
   EXPECT_EQ(ticks[0], 1'000'000);
   EXPECT_EQ(ticks[4], 9'000'000);
+}
+
+TEST(PeriodicTask, TicksUseExactArithmetic) {
+  Simulation sim;
+  std::vector<std::int64_t> ticks;
+  const auto period = SimTime::from_micros(999'983);  // prime
+  PeriodicTask task(sim, SimTime::from_micros(500), period,
+                    [&] { ticks.push_back(sim.now().micros()); });
+  sim.run_until(SimTime::from_seconds(30));
+  ASSERT_GE(ticks.size(), 30u);
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    EXPECT_EQ(ticks[i], 500 + static_cast<std::int64_t>(i) * 999'983);
+  }
 }
 
 TEST(PeriodicTask, CancelStopsFutureTicks) {
@@ -41,6 +56,57 @@ TEST(PeriodicTask, CancelFromWithinOwnCallback) {
                     });
   sim.run_until(SimTime::from_seconds(10));
   EXPECT_EQ(count, 2);
+}
+
+TEST(PeriodicTask, CancelFromOwnTickStopsRearm) {
+  // Inside its own tick the task's pending event is the running one, which
+  // the kernel has already released: the cancel leaves no tombstone, and
+  // the tick does not schedule the next one.
+  Simulation sim;
+  int count = 0;
+  PeriodicTask task(sim, SimTime::from_seconds(1), SimTime::from_seconds(1),
+                    [&] {
+                      if (++count == 3) task.cancel();
+                    });
+  sim.run_until(SimTime::from_seconds(10));
+  EXPECT_EQ(count, 3);
+  EXPECT_FALSE(task.active());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+}
+
+TEST(PeriodicTask, CancelledReplacedAndDestroyedInsideItsOwnTick) {
+  // The Backend's sweeper takes this path: a tick fails a task, the job
+  // ends and cancels the sweeper, and the next job's submit move-assigns a
+  // new one over it, all inside the tick. Each callback reads its own
+  // capture after its handle went away, which must still be alive.
+  Simulation sim;
+  std::optional<PeriodicTask> holder;
+  std::vector<std::string> log;
+  holder.emplace(sim, SimTime::from_seconds(1), SimTime::from_seconds(1),
+                 [&, name = std::string(40, 'a')] {
+                   holder->cancel();
+                   EXPECT_FALSE(holder->active());
+                   *holder = PeriodicTask(
+                       sim, SimTime::from_seconds(3), SimTime::from_seconds(1),
+                       [&, name = std::string(40, 'b')] {
+                         holder.reset();
+                         log.push_back(name);
+                       });
+                   log.push_back(name);
+                 });
+  sim.run_until(SimTime::from_seconds(10));
+  EXPECT_EQ(log, (std::vector<std::string>{std::string(40, 'a'),
+                                           std::string(40, 'b')}));
+  EXPECT_FALSE(holder.has_value());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(PeriodicTask, RejectsAnEmptyCallback) {
+  Simulation sim;
+  EXPECT_THROW(PeriodicTask(sim, SimTime::zero(), SimTime::from_seconds(1),
+                            EventFn{}),
+               std::invalid_argument);
 }
 
 TEST(PeriodicTask, DestructionBeforeSimulationEndIsSafe) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -78,6 +81,99 @@ TEST(Simulation, RejectsPastAndEmptyCallbacks) {
                std::invalid_argument);
   EXPECT_THROW(sim.schedule_at(SimTime::from_seconds(2), nullptr),
                std::invalid_argument);
+}
+
+TEST(Simulation, TimerSchedulingRejectsInvalidArguments) {
+  Simulation sim;
+  sim.run_until(SimTime::from_seconds(1));
+  EXPECT_THROW(
+      sim.schedule_at(SimTime::zero(), [] {}, EventPriority::kTimer),
+      std::invalid_argument);
+  EXPECT_THROW(sim.schedule_timer_in(SimTime::from_seconds(-1), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.schedule_timer_in(SimTime::from_seconds(1), EventFn{}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulation, OneShotTimerFiresAtExactDeadline) {
+  Simulation sim;
+  std::int64_t near = -1;
+  std::int64_t far = -1;
+  sim.schedule_timer_in(SimTime::from_micros(123457),
+                        [&] { near = sim.now().micros(); });
+  // ~11.6 simulated days ahead.
+  const auto deadline = SimTime::from_micros(1'000'000'000'007);
+  sim.schedule_at(deadline, [&] { far = sim.now().micros(); },
+                  EventPriority::kTimer);
+  sim.run_until(SimTime::from_seconds(1));
+  EXPECT_EQ(near, 123457);
+  EXPECT_EQ(far, -1);
+  // The next event time is the exact deadline, not a bound below it.
+  EXPECT_EQ(sim.next_event_time(), deadline);
+  sim.run();
+  EXPECT_EQ(far, 1'000'000'000'007);
+}
+
+TEST(Simulation, TimerCancelledBeforeItsDeadlineNeverFires) {
+  Simulation sim;
+  int count = 0;
+  const EventId id =
+      sim.schedule_timer_in(SimTime::from_seconds(5), [&] { ++count; });
+  sim.run_until(SimTime::from_seconds(2));
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_FALSE(sim.cancel(id));  // second cancel is a no-op
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(SimTime::from_seconds(10));
+  EXPECT_EQ(count, 0);
+}
+
+TEST(Simulation, FiredTimerHandleIsRejectedByCancel) {
+  Simulation sim;
+  const EventId id = sim.schedule_timer_in(SimTime::from_seconds(1), [] {});
+  sim.run_until(SimTime::from_seconds(2));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+}
+
+TEST(Simulation, StaleHandlesAreRejected) {
+  // The second timer reuses the first one's slot: the first one's retained
+  // handle must not alias it.
+  Simulation sim;
+  const EventId first = sim.schedule_timer_in(SimTime::from_millis(1), [] {});
+  sim.run_until(SimTime::from_millis(10));
+  int count = 0;
+  const EventId second =
+      sim.schedule_timer_in(SimTime::from_seconds(5), [&] { ++count; });
+  EXPECT_NE(first, second);
+  EXPECT_EQ(first & 0xFFFFFFFFu, second & 0xFFFFFFFFu);
+  EXPECT_FALSE(sim.cancel(first));
+  sim.run_until(SimTime::from_seconds(10));
+  EXPECT_EQ(count, 1);
+}
+
+TEST(Simulation, CallbacksCanGrowTheSlab) {
+  // Scheduling from inside a running callback may add slab chunks; the
+  // running callback must survive the growth.
+  Simulation sim;
+  int fired = 0;
+  int deepest = 0;
+  std::function<void(int)> arm = [&](int depth) {
+    sim.schedule_timer_in(SimTime::from_millis(7), [&, depth] {
+      ++fired;
+      deepest = std::max(deepest, depth);
+      if (depth < 50) arm(depth + 1);
+      for (int i = 0; i < 100; ++i) {
+        sim.schedule_timer_in(SimTime::from_millis(900 + i), [&] { ++fired; });
+      }
+    });
+  };
+  arm(0);
+  sim.run_until(SimTime::from_seconds(5));
+  EXPECT_EQ(deepest, 50);
+  EXPECT_EQ(fired, 51 + 51 * 100);
+  EXPECT_GT(sim.event_chunks(), 1u);  // 5,100 pending at once
 }
 
 TEST(Simulation, CancelPreventsExecution) {
