@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "sim/cadence.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "workload/job.hpp"
 
 namespace {
@@ -207,14 +207,16 @@ struct OverheadPoint {
   std::size_t receivers = 0;
   std::size_t shards = 1;
   int reps = 0;
-  double off_wall_s = 0.0;
-  double on_wall_s = 0.0;
-  double overhead_pct = 0.0;
+  double off_wall_s = 0.0;    ///< median over the pairs
+  double on_wall_s = 0.0;     ///< median over the pairs
+  double overhead_pct = 0.0;  ///< median of the per-pair on/off ratios
 };
 
 /// Profiler-cost A/B: the same seeded scenario with the kernel profiler
-/// off and on, `reps` alternating pairs, best-of walls (min is the robust
-/// statistic against scheduler noise on shared CI machines).
+/// off and on, `reps` back-to-back pairs. Even pairs run profiler-off
+/// first and odd pairs profiler-on first, so a host that drifts within a
+/// pair charges neither side; the overhead is the median of the per-pair
+/// on/off wall ratios, which a single slow run cannot move.
 OverheadPoint profiler_overhead_ab(std::size_t receivers, std::size_t shards,
                                    int reps,
                                    const std::string& profile_json) {
@@ -222,21 +224,36 @@ OverheadPoint profiler_overhead_ab(std::size_t receivers, std::size_t shards,
   point.receivers = receivers;
   point.shards = shards;
   point.reps = reps;
-  point.off_wall_s = std::numeric_limits<double>::infinity();
-  point.on_wall_s = std::numeric_limits<double>::infinity();
+  util::Samples off;
+  util::Samples on;
+  util::Samples ratios;
   for (int r = 0; r < reps; ++r) {
-    point.off_wall_s = std::min(
-        point.off_wall_s, system_sweep(receivers, shards).wall_seconds);
-    const bool last = r + 1 == reps;
-    point.on_wall_s = std::min(
-        point.on_wall_s,
-        system_sweep(receivers, shards, true, last ? profile_json : "")
-            .wall_seconds);
+    const auto run_off = [&] {
+      return system_sweep(receivers, shards).wall_seconds;
+    };
+    const auto run_on = [&] {
+      return system_sweep(receivers, shards, true,
+                          r + 1 == reps ? profile_json : "")
+          .wall_seconds;
+    };
+    double off_wall = 0.0;
+    double on_wall = 0.0;
+    if (r % 2 == 0) {
+      off_wall = run_off();
+      on_wall = run_on();
+    } else {
+      on_wall = run_on();
+      off_wall = run_off();
+    }
+    off.add(off_wall);
+    on.add(on_wall);
+    ratios.add(on_wall / off_wall);
   }
-  point.overhead_pct =
-      point.off_wall_s > 0.0
-          ? 100.0 * (point.on_wall_s - point.off_wall_s) / point.off_wall_s
-          : 0.0;
+  if (reps > 0) {
+    point.off_wall_s = off.median();
+    point.on_wall_s = on.median();
+    point.overhead_pct = 100.0 * (ratios.median() - 1.0);
+  }
   return point;
 }
 
@@ -359,8 +376,8 @@ int main(int argc, char** argv) {
     const std::size_t population =
         overhead_pop != 0 ? overhead_pop : shard_sweep_pop;
     std::cout << "\n== Profiler overhead A/B at " << population
-              << " receivers, " << shards << " shard(s), best of "
-              << overhead_reps << " ==\n";
+              << " receivers, " << shards << " shard(s), median of "
+              << overhead_reps << " alternating pairs ==\n";
     overhead =
         profiler_overhead_ab(population, shards, overhead_reps, profile_json);
     std::printf("off %.2f s | on %.2f s | overhead %+.2f%%\n",

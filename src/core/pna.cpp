@@ -1,6 +1,8 @@
 #include "core/pna.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace oddci::core {
@@ -15,9 +17,18 @@ PnaXlet::PnaXlet(const PnaEnvironment& environment) : env_(&environment) {
   if (env_->verify_cache == nullptr || env_->heartbeat_pool == nullptr) {
     throw std::invalid_argument("PnaXlet: null verify cache or heartbeat pool");
   }
-  if (env_->heartbeats == nullptr || env_->heartbeats->fire() != &beat) {
-    throw std::invalid_argument("PnaXlet: no heartbeat cadence firing beat()");
+  if (env_->heartbeats == nullptr ||
+      env_->heartbeats->fire() != beat_fn(environment)) {
+    throw std::invalid_argument(
+        "PnaXlet: no heartbeat cadence firing beat() (paced_beat() when "
+        "paced)");
   }
+}
+
+sim::Cadence::Fire PnaXlet::beat_fn(const PnaEnvironment& environment) {
+  return environment.heartbeat_pace_window > sim::SimTime::zero()
+             ? &paced_beat
+             : &beat;
 }
 
 PnaXlet::~PnaXlet() { cancel_heartbeat(); }
@@ -70,6 +81,20 @@ void PnaXlet::beat(void* agent) {
   static_cast<PnaXlet*>(agent)->send_heartbeat();
 }
 
+void PnaXlet::paced_beat(void* agent) {
+  auto* self = static_cast<PnaXlet*>(agent);
+  if ((self->pace_ & kPaceSlotBeats) == 0) {
+    // An interval that is not a multiple of the window: the beat is a
+    // request like any other.
+    self->send_heartbeat();
+    return;
+  }
+  // The beat is at its slot, and requests that rode it go out with it.
+  // Tested first, so a beat that carries none leaves the line clean.
+  if ((self->pace_ & kPaceCoalesced) != 0) self->pace_ &= ~kPaceCoalesced;
+  self->send_heartbeat_now();
+}
+
 void PnaXlet::start_xlet() {
   if (context_ == nullptr) {
     throw std::logic_error("PnaXlet: started before init");
@@ -91,8 +116,8 @@ void PnaXlet::destroy_xlet(bool /*unconditional*/) {
   // The ApplicationManager has bumped the host generation: every callback
   // this Xlet issued is already inert.
   started_ = false;
-  pace_pending_ = false;
   cancel_heartbeat();
+  pace_ = 0;
   // Teardown with a task in flight (e.g. a channel change destroying the
   // Xlet): hand the task back like a reset does. If the receiver is being
   // powered off the send is dropped, and the Backend's timeout covers it.
@@ -121,8 +146,8 @@ void PnaXlet::abort_task() {
 void PnaXlet::freeze() {
   // Every callback captured under the old host generation becomes inert.
   context_->bump_generation();
-  pace_pending_ = false;
   cancel_heartbeat();
+  pace_ = 0;
   if (running_exec_ != 0) {
     context_->receiver().cancel_execution(running_exec_);
     running_exec_ = 0;
@@ -134,6 +159,7 @@ void PnaXlet::cancel_heartbeat() {
     env_->heartbeats->cancel(heartbeat_);
     heartbeat_ = sim::Cadence::kNone;
   }
+  pace_ &= ~(kPaceSlotBeats | kPaceCoalesced);
 }
 
 bool PnaXlet::member_of(InstanceId instance) const {
@@ -345,52 +371,115 @@ void PnaXlet::ensure_heartbeat(const ControlMessage& message) {
     if (target == net::kInvalidNode) target = message.controller_node;
   }
   heartbeat_target_ = target;
-  if (message.heartbeat_interval <= sim::SimTime::zero()) return;
+  const sim::SimTime interval = message.heartbeat_interval;
+  if (interval <= sim::SimTime::zero()) return;
+  const sim::SimTime now = context_->simulation().now();
+  // The slot of requests that rode the old arming's next beat.
+  std::optional<sim::SimTime> coalesced;
   if (heartbeat_ != sim::Cadence::kNone) {
-    if (message.heartbeat_interval == env_->heartbeats->period(heartbeat_)) {
-      return;
-    }
+    if (interval == env_->heartbeats->period(heartbeat_)) return;
     // The Controller re-parameterized the reporting cadence: re-arm.
+    if ((pace_ & kPaceCoalesced) != 0) {
+      coalesced = beat_due_now() ? now : slot_after(now);
+    }
     cancel_heartbeat();
   }
   // Desynchronize the population: first beat at a random phase.
-  const double phase = draw() * message.heartbeat_interval.seconds();
-  heartbeat_ = env_->heartbeats->arm(
-      this,
-      context_->simulation().now() + sim::SimTime::from_seconds(phase),
-      message.heartbeat_interval);
+  sim::SimTime first =
+      now + sim::SimTime::from_seconds(draw() * interval.seconds());
+  const sim::SimTime window = env_->heartbeat_pace_window;
+  if (window > sim::SimTime::zero() &&
+      interval.micros() % window.micros() == 0) {
+    // Paced, and a beat's slot falls at the same offset every period: the
+    // cadence fires the first beat at the slot it would be released at,
+    // and each fire sends. (An arming 2^32 windows into the run, 1,361
+    // years at 10 s, keeps the release per beat.)
+    const sim::SimTime slot = slot_after(first);
+    const std::int64_t index = slot.micros() / window.micros();
+    if (index <= std::numeric_limits<std::uint32_t>::max()) {
+      first = slot;
+      pace_first_window_ = static_cast<std::uint32_t>(index);
+      pace_ |= kPaceSlotBeats;
+    }
+  }
+  heartbeat_ = env_->heartbeats->arm(this, first, interval);
+  if (coalesced) {
+    if (beats_at(*coalesced)) {
+      pace_ |= kPaceCoalesced;
+    } else {
+      release_at(*coalesced);
+    }
+  }
 }
 
 void PnaXlet::send_heartbeat() {
   if (!started_ || heartbeat_target_ == net::kInvalidNode) return;
-  const sim::SimTime window = env_->heartbeat_pace_window;
-  if (window <= sim::SimTime::zero()) {
+  if (env_->heartbeat_pace_window <= sim::SimTime::zero()) {
     send_heartbeat_now();
     return;
   }
-  // Paced mode: a beat already queued for our next phase slot absorbs this
-  // one (the slot transmits the state current at release time, so nothing
-  // is lost — only the redundant intermediate report).
-  if (pace_pending_) {
+  // Paced mode: a beat already pending absorbs this one (it transmits the
+  // state current at its slot, so nothing is lost — only the redundant
+  // intermediate report). A beat is pending when a release holds it, or
+  // when the cadence fires this agent later in this instant or at the
+  // first slot after it.
+  if ((pace_ & (kPaceRelease | kPaceCoalesced)) != 0) {
     ++env_->counters->heartbeats_paced;
     return;
   }
-  pace_pending_ = true;
-  // Deterministic per-agent phase in [0, window): keyed by the pacing
-  // stream seed and the agent id alone, the same slot in every life.
+  const sim::SimTime slot = slot_after(context_->simulation().now());
+  if (beat_due_now() || beats_at(slot)) {
+    pace_ |= kPaceCoalesced;
+    ++env_->counters->heartbeats_paced;
+    return;
+  }
+  release_at(slot);
+}
+
+std::int64_t PnaXlet::pace_phase() const {
   const double frac =
       util::keyed_uniform(env_->heartbeat_phase_seed, pna_id(), 0);
-  auto& simulation = context_->simulation();
-  const sim::SimTime now = simulation.now();
+  return static_cast<std::int64_t>(
+      frac * static_cast<double>(env_->heartbeat_pace_window.micros()));
+}
+
+sim::SimTime PnaXlet::slot_after(sim::SimTime t) const {
+  const sim::SimTime window = env_->heartbeat_pace_window;
   const std::int64_t wus = window.micros();
-  const std::int64_t phase_us =
-      static_cast<std::int64_t>(frac * static_cast<double>(wus));
-  sim::SimTime release =
-      sim::SimTime::from_micros((now.micros() / wus) * wus + phase_us);
-  if (release <= now) release += window;
-  schedule_guarded(release - now, [this] {
-    pace_pending_ = false;
+  sim::SimTime slot =
+      sim::SimTime::from_micros((t.micros() / wus) * wus + pace_phase());
+  if (slot <= t) slot += window;
+  return slot;
+}
+
+bool PnaXlet::beats_at(sim::SimTime t) const {
+  if ((pace_ & kPaceSlotBeats) == 0) return false;
+  const std::int64_t wus = env_->heartbeat_pace_window.micros();
+  if (t.micros() % wus != pace_phase()) return false;
+  // A slot beats when it is the first one or whole periods after it.
+  const std::int64_t laps = env_->heartbeats->period(heartbeat_).micros() / wus;
+  const std::int64_t ahead = t.micros() / wus - pace_first_window_;
+  return ahead >= 0 && ahead % laps == 0;
+}
+
+bool PnaXlet::beat_due_now() const {
+  const sim::SimTime now = context_->simulation().now();
+  return env_->heartbeats->next_serve() == now && beats_at(now);
+}
+
+void PnaXlet::release_at(sim::SimTime slot) {
+  pace_ |= kPaceRelease;
+  schedule_guarded(slot - context_->simulation().now(), [this] {
+    pace_ &= ~kPaceRelease;
     if (!started_ || hung_) return;
+    // The agent re-armed since the request, and its cadence fires it later
+    // in this instant: the release rides that beat, as that beat would
+    // have ridden a release pending at its deadline.
+    if (beat_due_now()) {
+      pace_ |= kPaceCoalesced;
+      ++env_->counters->heartbeats_paced;
+      return;
+    }
     send_heartbeat_now();
   });
 }

@@ -46,12 +46,12 @@ struct PnaEnvironment {
   /// contexts onto outgoing messages.
   obs::FlightRecorder* recorder = nullptr;
 
-  /// Heartbeat pacing window (zero = off, the legacy fire-immediately
-  /// path). With a window, every beat — periodic or event-driven — is
-  /// deferred to this agent's deterministic phase slot within the window
-  /// and beats that coalesce while one is pending are absorbed, so a
-  /// population-wide wakeup storm spreads over the window instead of
-  /// landing on the return channel in one burst.
+  /// Heartbeat pacing window (zero = off: every beat goes out when it is
+  /// due). With a window, every beat — periodic or event-driven — goes out
+  /// at this agent's first phase slot after it is requested (slots repeat
+  /// every window), and a request that finds a beat already pending is
+  /// absorbed into it, so a population-wide wakeup storm spreads over the
+  /// window instead of landing on the return channel in one burst.
   sim::SimTime heartbeat_pace_window;
   /// Root of the per-agent pacing phase (a dedicated named RNG stream, so
   /// enabling pacing never perturbs the population's draw sequences).
@@ -67,7 +67,8 @@ struct PnaEnvironment {
   /// net::MessagePool).
   net::MessagePool<HeartbeatMessage>* heartbeat_pool = nullptr;
   /// Shard-shared periodic heartbeats (required): one same-period cadence
-  /// on the shard's kernel, built with PnaXlet::beat as its fire function.
+  /// on the shard's kernel, built with PnaXlet::beat_fn(environment) as
+  /// its fire function.
   sim::Cadence* heartbeats = nullptr;
 
   // --- fault-injection recovery protocol (nullable: with no Recovery block
@@ -148,8 +149,13 @@ class PnaXlet final : public dtv::Xlet,
   [[nodiscard]] const Dve* dve() const { return dve_.get(); }
   [[nodiscard]] std::uint64_t pna_id() const;
 
-  /// The heartbeat cadence's fire function: `agent` is a PnaXlet.
+  /// The heartbeat cadence's fire functions: `agent` is a PnaXlet. An
+  /// unpaced beat sends when it is due; a paced one sends at its slot.
   static void beat(void* agent);
+  static void paced_beat(void* agent);
+  /// The fire function of the cadence that agents of `environment` share.
+  [[nodiscard]] static sim::Cadence::Fire beat_fn(
+      const PnaEnvironment& environment);
 
   // --- fault injection -------------------------------------------------------
 
@@ -194,12 +200,27 @@ class PnaXlet final : public dtv::Xlet,
   void freeze();
 
   void ensure_heartbeat(const ControlMessage& message);
+  /// Disarm the periodic beat; requests that rode its next beat lapse.
   void cancel_heartbeat();
-  /// Pacing gate: immediate in the legacy path, deferred to this agent's
-  /// phase slot (coalescing) when the environment sets a pace window.
+  /// Request a beat: sent at once when unpaced; when paced, sent at this
+  /// agent's first slot after now, or absorbed by a beat already pending.
   void send_heartbeat();
-  /// Build and transmit the beat (the legacy send_heartbeat body).
+  /// Build and transmit the beat.
   void send_heartbeat_now();
+
+  // --- paced heartbeats (PnaEnvironment::heartbeat_pace_window) -------------
+  /// This agent's slot offset within the window, in microseconds: keyed by
+  /// the pacing seed and the agent id alone, the same in every life.
+  [[nodiscard]] std::int64_t pace_phase() const;
+  /// This agent's first slot after `t`.
+  [[nodiscard]] sim::SimTime slot_after(sim::SimTime t) const;
+  /// Whether the cadence fires this agent at `t` (kPaceSlotBeats only).
+  [[nodiscard]] bool beats_at(sim::SimTime t) const;
+  /// Whether the cadence fires this agent at the current instant and has
+  /// not yet: its serve comes later in the instant.
+  [[nodiscard]] bool beat_due_now() const;
+  /// Send the pending beat at `slot` from a guarded release event.
+  void release_at(sim::SimTime slot);
 
   void request_task();
   void schedule_task_poll();
@@ -270,9 +291,16 @@ class PnaXlet final : public dtv::Xlet,
 
   bool started_ = false;
   bool joining_ = false;
-  /// A paced beat is already scheduled for this agent's next phase slot;
-  /// further beats coalesce into it (the slot sends the *current* state).
-  bool pace_pending_ = false;
+  /// Paced heartbeats: kPace* bits. While a beat is pending (kPaceRelease
+  /// or kPaceCoalesced), requests coalesce into it: the slot sends the
+  /// *current* state.
+  std::uint8_t pace_ = 0;
+  /// The cadence fires this agent at its slots, and each fire sends.
+  static constexpr std::uint8_t kPaceSlotBeats = 1;
+  /// A guarded release event sends the pending beat.
+  static constexpr std::uint8_t kPaceRelease = 2;
+  /// The cadence's next beat of this agent is the pending one.
+  static constexpr std::uint8_t kPaceCoalesced = 4;
   /// Frozen by fault_hang(): message handling and config reads are inert
   /// until the watchdog kills and relaunches the Xlet.
   bool hung_ = false;
@@ -309,6 +337,9 @@ class PnaXlet final : public dtv::Xlet,
   std::uint32_t draws_ = 0;
 
   bool task_running_ = false;
+  /// Window index (slot / pace window) of the first slot of a
+  /// kPaceSlotBeats arming: its beats fall every period from there.
+  std::uint32_t pace_first_window_ = 0;
 };
 
 }  // namespace oddci::core

@@ -380,8 +380,8 @@ OddciSystem::OddciSystem(const SystemConfig& config) : config_(config) {
         std::make_unique<net::MessagePool<HeartbeatMessage>>(
             std::clamp<std::size_t>(config_.receivers / K / 128, 4096,
                                     1u << 14));
-    shard.heartbeats =
-        std::make_unique<sim::Cadence>(sharded_->shard(s), &PnaXlet::beat);
+    shard.heartbeats = std::make_unique<sim::Cadence>(
+        sharded_->shard(s), PnaXlet::beat_fn(shard.env));
     shard.env.verify_cache = &shard.verify_cache;
     shard.env.heartbeat_pool = shard.heartbeat_pool.get();
     shard.env.heartbeats = shard.heartbeats.get();

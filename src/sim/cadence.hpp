@@ -74,6 +74,9 @@ class Cadence {
   [[nodiscard]] SimTime period(Handle handle) const {
     return lanes_[slots_[handle - 1].lane].period;
   }
+  /// Instant of the pending serve, SimTime::max() when none is pending
+  /// (and while a serve runs). Beats due at that instant have not fired.
+  [[nodiscard]] SimTime next_serve() const { return event_at_; }
   /// Armed handles.
   [[nodiscard]] std::size_t armed() const { return armed_; }
   [[nodiscard]] Fire fire() const { return fire_; }

@@ -288,25 +288,33 @@ TEST(MemoryBudget, HeartbeatsArmNoWheelTimer) {
   // not as a kernel event: after the deploy and the warmup, a population
   // twice as large holds about as many pending events, and the event slab
   // keeps its first chunk on every shard. One event per agent would add
-  // 10,000.
-  const auto warmed_up = [](std::size_t receivers) {
-    SystemConfig config;
-    config.receivers = receivers;
-    config.seed = 20261016;
-    OddciSystem system(config);
-    system.controller().deploy_pna();
-    system.kernel().run_until(system.simulation().now() + config.warmup);
-    for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
-      EXPECT_LE(system.kernel().shard(s).event_chunks(), 1u) << "shard " << s;
-    }
-    EXPECT_GT(system.controller().stats().heartbeats_received, receivers);
-    return pending_events(system);
-  };
-  const std::size_t small = warmed_up(kReceivers);
-  const std::size_t large = warmed_up(2 * kReceivers);
-  std::cout << "pending kernel events: " << small << " at " << kReceivers
-            << " receivers, " << large << " at " << 2 * kReceivers << "\n";
-  EXPECT_LT(large, small + kReceivers / 100);
+  // 10,000. Paced beats (a 30-s interval in 10-s windows) fire from the
+  // cadence at their slots too; a release event held from each beat's
+  // deadline to its slot would keep about one agent in six pending.
+  for (const bool paced : {false, true}) {
+    SCOPED_TRACE(paced ? "paced" : "unpaced");
+    const auto warmed_up = [paced](std::size_t receivers) {
+      SystemConfig config;
+      config.receivers = receivers;
+      config.seed = 20261016;
+      config.heartbeat.paced = paced;
+      OddciSystem system(config);
+      system.controller().deploy_pna();
+      system.kernel().run_until(system.simulation().now() + config.warmup);
+      for (std::size_t s = 0; s < system.kernel().shard_count(); ++s) {
+        EXPECT_LE(system.kernel().shard(s).event_chunks(), 1u)
+            << "shard " << s;
+      }
+      EXPECT_GT(system.controller().stats().heartbeats_received, receivers);
+      return pending_events(system);
+    };
+    const std::size_t small = warmed_up(kReceivers);
+    const std::size_t large = warmed_up(2 * kReceivers);
+    std::cout << (paced ? "paced" : "unpaced")
+              << " pending kernel events: " << small << " at " << kReceivers
+              << " receivers, " << large << " at " << 2 * kReceivers << "\n";
+    EXPECT_LT(large, small + kReceivers / 100);
+  }
 }
 
 TEST(MemoryBudget, CarouselReadsArmNoKernelEvent) {

@@ -207,9 +207,11 @@ TEST(Cadence, NothingArmedHoldsNoKernelEvent) {
   script.arm(1, SimTime::from_seconds(2), SimTime::from_seconds(30));
   script.run_until(SimTime::from_seconds(3));
   EXPECT_EQ(script.sim.pending_events(), 1u);  // the one serve event
+  EXPECT_EQ(script.cadence.next_serve(), SimTime::from_seconds(31));
   script.cancel(0);
   script.cancel(1);
   EXPECT_TRUE(script.sim.empty());
+  EXPECT_EQ(script.cadence.next_serve(), SimTime::max());
   script.sim.run();
   EXPECT_EQ(script.sim.now(), SimTime::from_seconds(3));
 }
